@@ -37,6 +37,12 @@ impl CostDomain {
         CostDomain::Driver,
     ];
 
+    /// Position in [`CostDomain::ALL`].
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
+
     /// The paper's legend label.
     pub fn label(self) -> &'static str {
         match self {
@@ -319,7 +325,11 @@ impl VirtualClock {
 /// explicitly).
 #[derive(Clone, Debug, Default)]
 pub struct CycleMeter {
-    per_domain: BTreeMap<CostDomain, u64>,
+    /// Cycles per domain, indexed by [`CostDomain::index`].
+    per_domain: [u64; CostDomain::ALL.len()],
+    /// Bit `d.index()` is set once `d` has been charged since the last
+    /// reset, so a snapshot lists exactly the charged domains.
+    charged: u8,
     stack: Vec<CostDomain>,
     events: BTreeMap<&'static str, u64>,
     insns: u64,
@@ -347,6 +357,7 @@ impl CycleMeter {
     }
 
     /// The current attribution domain.
+    #[inline]
     pub fn current_domain(&self) -> CostDomain {
         self.stack.last().copied().unwrap_or(CostDomain::Dom0)
     }
@@ -355,14 +366,14 @@ impl CycleMeter {
     /// clock by the same amount — charged work *is* elapsed time).
     #[inline]
     pub fn charge(&mut self, cycles: u64) {
-        let d = self.current_domain();
-        *self.per_domain.entry(d).or_insert(0) += cycles;
-        self.clock.advance(cycles);
+        self.charge_to(self.current_domain(), cycles);
     }
 
     /// Charges `cycles` to an explicit domain (bypassing the stack).
+    #[inline]
     pub fn charge_to(&mut self, d: CostDomain, cycles: u64) {
-        *self.per_domain.entry(d).or_insert(0) += cycles;
+        self.per_domain[d.index()] += cycles;
+        self.charged |= 1 << d.index();
         self.clock.advance(cycles);
     }
 
@@ -413,17 +424,22 @@ impl CycleMeter {
 
     /// Cycles charged to a domain.
     pub fn cycles(&self, d: CostDomain) -> u64 {
-        self.per_domain.get(&d).copied().unwrap_or(0)
+        self.per_domain[d.index()]
     }
 
     /// Total cycles across all domains.
     pub fn total_cycles(&self) -> u64 {
-        self.per_domain.values().sum()
+        self.per_domain.iter().sum()
     }
 
-    /// Snapshot of per-domain totals.
+    /// Snapshot of per-domain totals: every domain charged since the last
+    /// reset.
     pub fn snapshot(&self) -> BTreeMap<CostDomain, u64> {
-        self.per_domain.clone()
+        CostDomain::ALL
+            .into_iter()
+            .filter(|d| self.charged & (1 << d.index()) != 0)
+            .map(|d| (d, self.cycles(d)))
+            .collect()
     }
 
     /// Difference of two snapshots, as `self_at_later - earlier`.
@@ -442,7 +458,8 @@ impl CycleMeter {
     /// measurement windows, so armed timers and moderation windows stay
     /// coherent.
     pub fn reset(&mut self) {
-        self.per_domain.clear();
+        self.per_domain = Default::default();
+        self.charged = 0;
         self.events.clear();
         self.insns = 0;
     }
@@ -491,6 +508,20 @@ mod tests {
         m.reset();
         assert_eq!(m.event("stlb_miss"), 0);
         assert_eq!(m.total_cycles(), 0);
+    }
+
+    #[test]
+    fn snapshot_lists_the_charged_domains() {
+        let mut m = CycleMeter::new();
+        assert!(m.snapshot().is_empty());
+        m.charge_to(CostDomain::Xen, 0);
+        m.charge_to(CostDomain::Driver, 7);
+        let snap = m.snapshot();
+        assert_eq!(snap.len(), 2);
+        assert_eq!(snap[&CostDomain::Xen], 0);
+        assert_eq!(snap[&CostDomain::Driver], 7);
+        m.reset();
+        assert!(m.snapshot().is_empty());
     }
 
     #[test]

@@ -50,6 +50,7 @@ pub struct CodeImage {
 
 impl CodeImage {
     /// Whether `pc` falls inside this image.
+    #[inline]
     pub fn contains(&self, pc: u64) -> bool {
         pc >= self.base && pc < self.base + self.insns.len() as u64 * INSN_SIZE
     }
@@ -57,6 +58,7 @@ impl CodeImage {
     /// The instruction at code address `pc`.
     ///
     /// Returns `None` if `pc` is outside the image or unaligned.
+    #[inline]
     pub fn fetch(&self, pc: u64) -> Option<&Insn> {
         if !self.contains(pc) || (pc - self.base) % INSN_SIZE != 0 {
             return None;

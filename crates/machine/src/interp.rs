@@ -12,10 +12,12 @@
 //!   in dom0, natively in the hypervisor (paper §4.3), or as an upcall
 //!   stub (paper §4.2).
 
+use crate::image::CodeImage;
 use crate::space::{PageKind, SpaceId};
 use crate::{Machine, EXTERN_BASE, PAGE_SIZE, RETURN_SENTINEL};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 use twin_isa::{AluOp, Cond, Insn, MemRef, Operand, Reg, Rep, ShiftOp, StrOp, Target, UnOp, Width};
 
 /// Privilege mode of the executing CPU.
@@ -292,6 +294,7 @@ impl Env for NullEnv {
     }
 }
 
+#[inline]
 fn ea(cpu: &Cpu, mem: &MemRef) -> u64 {
     debug_assert!(mem.sym.is_none(), "unlinked memory reference executed");
     let mut a = mem.disp as u32;
@@ -304,6 +307,7 @@ fn ea(cpu: &Cpu, mem: &MemRef) -> u64 {
     a as u64
 }
 
+#[inline]
 fn read_mem(
     m: &mut Machine,
     cpu: &mut Cpu,
@@ -316,7 +320,7 @@ fn read_mem(
         PageKind::Ram => {
             let cost = m.cost.load;
             m.meter.charge(cost);
-            m.read_virt(cpu.space, cpu.mode, addr, w)
+            m.read_translated(t, cpu.space, cpu.mode, addr, w)
         }
         PageKind::Mmio(dev) => {
             let cost = m.cost.mmio_read;
@@ -327,6 +331,7 @@ fn read_mem(
     }
 }
 
+#[inline]
 fn write_mem(
     m: &mut Machine,
     cpu: &mut Cpu,
@@ -340,7 +345,7 @@ fn write_mem(
         PageKind::Ram => {
             let cost = m.cost.store;
             m.meter.charge(cost);
-            m.write_virt(cpu.space, cpu.mode, addr, w, val)
+            m.write_translated(t, cpu.space, cpu.mode, addr, w, val)
         }
         PageKind::Mmio(dev) => {
             let cost = m.cost.mmio_write;
@@ -351,6 +356,7 @@ fn write_mem(
     }
 }
 
+#[inline]
 fn read_operand(
     m: &mut Machine,
     cpu: &mut Cpu,
@@ -368,6 +374,7 @@ fn read_operand(
     })
 }
 
+#[inline]
 fn write_operand(
     m: &mut Machine,
     cpu: &mut Cpu,
@@ -465,6 +472,61 @@ fn target_addr(
     })
 }
 
+/// The run loop's view of the loaded images: a shared handle on the
+/// machine's list plus the image that held the last fetch and its code
+/// range, so the list is only scanned when control leaves that range.
+struct Fetcher {
+    images: Arc<Vec<CodeImage>>,
+    cur: usize,
+    /// `[start, end)` of image `cur`; empty when nothing is cached.
+    start: u64,
+    end: u64,
+}
+
+impl Fetcher {
+    fn new(m: &Machine) -> Fetcher {
+        Fetcher {
+            images: Arc::clone(&m.images),
+            cur: 0,
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// The instruction at `pc`, from the first loaded image containing it.
+    #[inline]
+    fn fetch(&mut self, m: &Machine, pc: u64) -> Option<&Insn> {
+        let i = if self.start <= pc && pc < self.end {
+            self.cur
+        } else {
+            self.locate(m, pc)?
+        };
+        self.images[i].fetch(pc)
+    }
+
+    /// Scans for the first loaded image containing `pc`. On a miss the
+    /// handle is refreshed from the machine before giving up, which picks
+    /// up an image loaded during a nested run.
+    fn locate(&mut self, m: &Machine, pc: u64) -> Option<usize> {
+        let find = |images: &[CodeImage]| images.iter().position(|img| img.contains(pc));
+        let i = match find(&self.images) {
+            Some(i) => i,
+            None => {
+                self.images = Arc::clone(&m.images);
+                find(&self.images)?
+            }
+        };
+        // Later fetches may skip the scan only if it would pick image `i`
+        // for every pc inside it: no earlier image overlaps it.
+        let (start, end) = (self.images[i].base, self.images[i].end());
+        let first = self.images[..i]
+            .iter()
+            .all(|e| e.end() <= start || e.base >= end);
+        (self.cur, self.start, self.end) = if first { (i, start, end) } else { (0, 0, 0) };
+        Some(i)
+    }
+}
+
 /// Runs the interpreter until the code returns to the sentinel, halts,
 /// faults, or `max_insns` instructions have executed.
 ///
@@ -479,6 +541,7 @@ pub fn run(
     max_insns: u64,
 ) -> Result<StopReason, Fault> {
     let mut budget = max_insns;
+    let mut fetcher = Fetcher::new(m);
     loop {
         if cpu.pc == RETURN_SENTINEL {
             return Ok(StopReason::Returned);
@@ -486,9 +549,9 @@ pub fn run(
         if cpu.pc >= EXTERN_BASE && cpu.pc < RETURN_SENTINEL {
             // Extern trampoline: dispatch to the environment, then return.
             let name = m
-                .extern_name(cpu.pc)
+                .extern_at(cpu.pc)
                 .ok_or(Fault::BadFetch { pc: cpu.pc })?
-                .to_string();
+                .clone();
             env.extern_call(&name, m, cpu)?;
             let ret = cpu.pop(m)?;
             cpu.pc = ret as u64;
@@ -499,14 +562,13 @@ pub fn run(
         }
         budget -= 1;
 
-        let insn = match m.image_at(cpu.pc).and_then(|img| img.fetch(cpu.pc)) {
-            Some(i) => i.clone(),
-            None => return Err(Fault::BadFetch { pc: cpu.pc }),
-        };
+        let insn = fetcher
+            .fetch(m, cpu.pc)
+            .ok_or(Fault::BadFetch { pc: cpu.pc })?;
         m.meter.count_insn();
         let next_pc = cpu.pc + twin_isa::INSN_SIZE;
 
-        match &insn {
+        match insn {
             Insn::Mov { w, dst, src } => {
                 let v = read_operand(m, cpu, env, src, *w)?;
                 let base = m.cost.mov_reg;

@@ -51,7 +51,9 @@ pub use interp::{run, Cpu, Env, ExecMode, Fault, NullEnv, StopReason};
 pub use mem::{PhysMem, PAGE_SIZE};
 pub use space::{PageEntry, PageKind, PageTable, SpaceId};
 
-use twin_isa::Module;
+use space::Translation;
+use std::sync::Arc;
+use twin_isa::{Module, Width};
 
 /// Base of the hypervisor-reserved virtual region, mapped into every
 /// address space but accessible only in [`ExecMode::Hypervisor`].
@@ -85,8 +87,12 @@ pub struct Machine {
     /// *reads* the clock and domain stack but never charges, so a traced
     /// run's cycle accounting is bit-identical to an untraced run's.
     pub trace: twin_trace::FlightRecorder,
-    images: Vec<CodeImage>,
-    extern_names: Vec<String>,
+    /// Loaded images, append-only and never mutated after load; shared so
+    /// the run loop can hold instructions by reference while it mutates
+    /// the machine.
+    images: Arc<Vec<CodeImage>>,
+    /// Interned extern names, indexed by trampoline slot.
+    extern_names: Vec<Arc<str>>,
 }
 
 impl Default for Machine {
@@ -111,7 +117,7 @@ impl Machine {
             meter: CycleMeter::new(),
             cost,
             trace: twin_trace::FlightRecorder::new(),
-            images: Vec::new(),
+            images: Arc::default(),
             extern_names: Vec::new(),
         }
     }
@@ -167,10 +173,10 @@ impl Machine {
     /// Registers an extern symbol, returning its trampoline address.
     /// Calling this address transfers control to [`Env::extern_call`].
     pub fn register_extern(&mut self, name: &str) -> u64 {
-        if let Some(i) = self.extern_names.iter().position(|n| n == name) {
-            return EXTERN_BASE + 8 * i as u64;
+        if let Some(a) = self.extern_addr(name) {
+            return a;
         }
-        self.extern_names.push(name.to_string());
+        self.extern_names.push(name.into());
         EXTERN_BASE + 8 * (self.extern_names.len() - 1) as u64
     }
 
@@ -178,18 +184,23 @@ impl Machine {
     pub fn extern_addr(&self, name: &str) -> Option<u64> {
         self.extern_names
             .iter()
-            .position(|n| n == name)
+            .position(|n| **n == *name)
             .map(|i| EXTERN_BASE + 8 * i as u64)
     }
 
     /// Resolves a trampoline address back to the extern's name.
     pub fn extern_name(&self, addr: u64) -> Option<&str> {
+        self.extern_at(addr).map(|n| &**n)
+    }
+
+    /// The interned name of the extern whose trampoline is at `addr`; a
+    /// clone is a handle the run loop keeps while it mutates the machine,
+    /// and allocates nothing.
+    pub(crate) fn extern_at(&self, addr: u64) -> Option<&Arc<str>> {
         if addr < EXTERN_BASE || (addr - EXTERN_BASE) % 8 != 0 {
             return None;
         }
-        self.extern_names
-            .get(((addr - EXTERN_BASE) / 8) as usize)
-            .map(String::as_str)
+        self.extern_names.get(((addr - EXTERN_BASE) / 8) as usize)
     }
 
     /// Loads a module's text at `code_base`, resolving local labels and
@@ -223,18 +234,11 @@ impl Machine {
                 self.register_extern(name);
             }
         }
-        let names = self.extern_names.clone();
         let image = image::link(module, code_base, |name| {
-            if let Some(a) = resolve(name) {
-                return Some(a);
-            }
-            names
-                .iter()
-                .position(|n| n == name)
-                .map(|i| EXTERN_BASE + 8 * i as u64)
+            resolve(name).or_else(|| self.extern_addr(name))
         })?;
         let id = ImageId(self.images.len());
-        self.images.push(image);
+        Arc::make_mut(&mut self.images).push(image);
         Ok(id)
     }
 
@@ -245,11 +249,6 @@ impl Machine {
     /// Panics if `id` is invalid.
     pub fn image(&self, id: ImageId) -> &CodeImage {
         &self.images[id.0]
-    }
-
-    /// The image containing code address `pc`, if any.
-    pub fn image_at(&self, pc: u64) -> Option<&CodeImage> {
-        self.images.iter().find(|img| img.contains(pc))
     }
 
     /// Allocates `pages` physical frames and maps them contiguously at
@@ -298,13 +297,14 @@ impl Machine {
     ///
     /// [`Fault::PageFault`] if unmapped, [`Fault::ProtFault`] for a guest
     /// touching the hypervisor region or writing a read-only page.
+    #[inline]
     pub fn translate(
         &self,
         space: SpaceId,
         mode: ExecMode,
         addr: u64,
         write: bool,
-    ) -> Result<space::Translation, Fault> {
+    ) -> Result<Translation, Fault> {
         let table = if addr >= HYPER_BASE {
             if mode != ExecMode::Hypervisor {
                 return Err(Fault::ProtFault { addr });
@@ -317,7 +317,7 @@ impl Machine {
         if write && !entry.writable {
             return Err(Fault::ProtFault { addr });
         }
-        Ok(space::Translation {
+        Ok(Translation {
             entry,
             offset: addr % PAGE_SIZE,
         })
@@ -330,21 +330,39 @@ impl Machine {
     ///
     /// Propagates translation faults; MMIO pages cannot be read through
     /// this accessor and return [`Fault::MmioAccess`].
+    #[inline]
     pub fn read_virt(
         &self,
         space: SpaceId,
         mode: ExecMode,
         addr: u64,
-        width: twin_isa::Width,
+        width: Width,
     ) -> Result<u32, Fault> {
+        let t = self.translate(space, mode, addr, false)?;
+        self.read_translated(t, space, mode, addr, width)
+    }
+
+    /// [`Machine::read_virt`] given the translation `t` of `addr` itself.
+    /// An access inside one page reads physical memory directly; one that
+    /// crosses a page goes byte by byte, so a fault names the first byte
+    /// that cannot be read.
+    #[inline]
+    pub(crate) fn read_translated(
+        &self,
+        t: Translation,
+        space: SpaceId,
+        mode: ExecMode,
+        addr: u64,
+        width: Width,
+    ) -> Result<u32, Fault> {
+        let paddr = ram_paddr(t, addr)?;
+        if t.offset + width.bytes() <= PAGE_SIZE {
+            return Ok(self.phys.read_le(paddr, width));
+        }
         let mut val = 0u32;
         for i in 0..width.bytes() {
             let t = self.translate(space, mode, addr + i, false)?;
-            let pfn = match t.entry.kind {
-                PageKind::Ram => t.entry.pfn,
-                PageKind::Mmio(_) => return Err(Fault::MmioAccess { addr }),
-            };
-            let b = self.phys.read_u8(pfn * PAGE_SIZE + (addr + i) % PAGE_SIZE);
+            let b = self.phys.read_u8(ram_paddr(t, addr)?);
             val |= (b as u32) << (8 * i);
         }
         Ok(val)
@@ -355,24 +373,41 @@ impl Machine {
     /// # Errors
     ///
     /// Propagates translation faults; see [`Machine::read_virt`].
+    #[inline]
     pub fn write_virt(
         &mut self,
         space: SpaceId,
         mode: ExecMode,
         addr: u64,
-        width: twin_isa::Width,
+        width: Width,
         val: u32,
     ) -> Result<(), Fault> {
+        let t = self.translate(space, mode, addr, true)?;
+        self.write_translated(t, space, mode, addr, width, val)
+    }
+
+    /// [`Machine::write_virt`] given the write translation `t` of `addr`
+    /// itself. A page-crossing write goes byte by byte: the bytes before a
+    /// faulting one are written, and the fault names that byte.
+    #[inline]
+    pub(crate) fn write_translated(
+        &mut self,
+        t: Translation,
+        space: SpaceId,
+        mode: ExecMode,
+        addr: u64,
+        width: Width,
+        val: u32,
+    ) -> Result<(), Fault> {
+        let paddr = ram_paddr(t, addr)?;
+        if t.offset + width.bytes() <= PAGE_SIZE {
+            self.phys.write_le(paddr, width, val);
+            return Ok(());
+        }
         for i in 0..width.bytes() {
             let t = self.translate(space, mode, addr + i, true)?;
-            let pfn = match t.entry.kind {
-                PageKind::Ram => t.entry.pfn,
-                PageKind::Mmio(_) => return Err(Fault::MmioAccess { addr }),
-            };
-            self.phys.write_u8(
-                pfn * PAGE_SIZE + (addr + i) % PAGE_SIZE,
-                (val >> (8 * i)) as u8,
-            );
+            self.phys
+                .write_u8(ram_paddr(t, addr)?, (val >> (8 * i)) as u8);
         }
         Ok(())
     }
@@ -382,8 +417,9 @@ impl Machine {
     /// # Errors
     ///
     /// See [`Machine::read_virt`].
+    #[inline]
     pub fn read_u32(&self, space: SpaceId, mode: ExecMode, addr: u64) -> Result<u32, Fault> {
-        self.read_virt(space, mode, addr, twin_isa::Width::Long)
+        self.read_virt(space, mode, addr, Width::Long)
     }
 
     /// Writes a 32-bit little-endian value; convenience wrapper.
@@ -391,6 +427,7 @@ impl Machine {
     /// # Errors
     ///
     /// See [`Machine::write_virt`].
+    #[inline]
     pub fn write_u32(
         &mut self,
         space: SpaceId,
@@ -398,7 +435,7 @@ impl Machine {
         addr: u64,
         val: u32,
     ) -> Result<(), Fault> {
-        self.write_virt(space, mode, addr, twin_isa::Width::Long, val)
+        self.write_virt(space, mode, addr, Width::Long, val)
     }
 
     /// Copies `len` bytes of simulated memory between virtual ranges which
@@ -414,11 +451,31 @@ impl Machine {
         dst: (SpaceId, ExecMode, u64),
         len: u64,
     ) -> Result<(), Fault> {
-        for i in 0..len {
-            let b = self.read_virt(src.0, src.1, src.2 + i, twin_isa::Width::Byte)?;
-            self.write_virt(dst.0, dst.1, dst.2 + i, twin_isa::Width::Byte, b)?;
+        // Chunks end at a page boundary on either side, so each needs one
+        // translation per side, and the bytes and the fault before a bad
+        // page are those of a byte-at-a-time copy.
+        let mut done = 0;
+        while done < len {
+            let (s, d) = (src.2 + done, dst.2 + done);
+            let n = (len - done)
+                .min(PAGE_SIZE - s % PAGE_SIZE)
+                .min(PAGE_SIZE - d % PAGE_SIZE);
+            let ps = ram_paddr(self.translate(src.0, src.1, s, false)?, s)?;
+            let pd = ram_paddr(self.translate(dst.0, dst.1, d, true)?, d)?;
+            self.phys.copy_forward(ps, pd, n as usize);
+            done += n;
         }
         Ok(())
+    }
+}
+
+/// The physical address a RAM translation `t` names; an MMIO page faults
+/// with the address of the access, `addr`.
+#[inline]
+fn ram_paddr(t: Translation, addr: u64) -> Result<u64, Fault> {
+    match t.entry.kind {
+        PageKind::Ram => Ok(t.entry.pfn * PAGE_SIZE + t.offset),
+        PageKind::Mmio(_) => Err(Fault::MmioAccess { addr }),
     }
 }
 

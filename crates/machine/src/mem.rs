@@ -1,6 +1,7 @@
 //! Simulated physical memory with a frame allocator.
 
 use std::collections::BTreeSet;
+use twin_isa::Width;
 
 /// Page size in bytes (4 KiB, matching the paper's x86-32 target).
 pub const PAGE_SIZE: u64 = 4096;
@@ -79,6 +80,7 @@ impl PhysMem {
     }
 
     /// Reads a little-endian u32 at a physical address.
+    #[inline]
     pub fn read_u32(&self, paddr: u64) -> u32 {
         u32::from_le_bytes(
             self.bytes[paddr as usize..paddr as usize + 4]
@@ -90,6 +92,41 @@ impl PhysMem {
     /// Writes a little-endian u32 at a physical address.
     pub fn write_u32(&mut self, paddr: u64, val: u32) {
         self.bytes[paddr as usize..paddr as usize + 4].copy_from_slice(&val.to_le_bytes());
+    }
+
+    /// Reads a little-endian value of `width` at a physical address,
+    /// zero-extended.
+    #[inline]
+    pub fn read_le(&self, paddr: u64, width: Width) -> u32 {
+        let p = paddr as usize;
+        match width {
+            Width::Byte => self.bytes[p] as u32,
+            Width::Word => u16::from_le_bytes([self.bytes[p], self.bytes[p + 1]]) as u32,
+            Width::Long => self.read_u32(paddr),
+        }
+    }
+
+    /// Writes the low `width` bytes of `val`, little-endian, at a physical
+    /// address.
+    #[inline]
+    pub fn write_le(&mut self, paddr: u64, width: Width, val: u32) {
+        let n = width.bytes() as usize;
+        let p = paddr as usize;
+        self.bytes[p..p + n].copy_from_slice(&val.to_le_bytes()[..n]);
+    }
+
+    /// Copies `len` bytes from `src` to `dst` in ascending byte order, with
+    /// the result of a byte-at-a-time loop: when `dst` starts inside the
+    /// source range, the bytes already copied repeat (not a memmove).
+    pub fn copy_forward(&mut self, src: u64, dst: u64, len: usize) {
+        let (s, d) = (src as usize, dst as usize);
+        if d <= s || d >= s + len {
+            self.bytes.copy_within(s..s + len, d);
+        } else {
+            for i in 0..len {
+                self.bytes[d + i] = self.bytes[s + i];
+            }
+        }
     }
 
     /// Copies a byte slice into physical memory at `paddr`.
@@ -142,6 +179,28 @@ mod tests {
         pm.write_u32(12, 0xdead_beef);
         assert_eq!(pm.read_u32(12), 0xdead_beef);
         assert_eq!(pm.read_u8(12), 0xef, "little endian");
+    }
+
+    #[test]
+    fn widths_are_little_endian() {
+        let mut pm = PhysMem::new(1);
+        pm.write_le(8, Width::Long, 0x1122_3344);
+        pm.write_le(8, Width::Word, 0xaabb_ccdd);
+        pm.write_le(11, Width::Byte, 0xee);
+        assert_eq!(pm.read_le(8, Width::Long), 0xee22_ccdd);
+        assert_eq!(pm.read_le(9, Width::Word), 0x22cc);
+        assert_eq!(pm.read_le(11, Width::Byte), 0xee);
+    }
+
+    #[test]
+    fn overlapping_forward_copy_repeats_like_a_byte_loop() {
+        let mut pm = PhysMem::new(1);
+        pm.write_bytes(0, b"abcdef");
+        pm.copy_forward(0, 2, 4);
+        assert_eq!(pm.read_bytes(0, 6), b"ababab");
+        pm.write_bytes(0, b"abcdef");
+        pm.copy_forward(2, 0, 4);
+        assert_eq!(pm.read_bytes(0, 6), b"cdefef");
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! or MMIO regions.
 
 use crate::mem::PAGE_SIZE;
-use std::collections::HashMap;
 
 /// Identifier of an address space (one per domain).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -59,10 +58,24 @@ pub struct Translation {
     pub offset: u64,
 }
 
-/// A sparse page table: virtual page number → entry.
+/// Virtual page numbers one leaf of a [`PageTable`] covers (4 MiB).
+const LEAF_PAGES: u64 = 1024;
+
+/// Leaves a [`PageTable`] directory holds: together they cover the modelled
+/// machine's 32-bit virtual address space (2^20 pages).
+const DIR_LEAVES: usize = 1024;
+
+/// One leaf: the entries of [`LEAF_PAGES`] consecutive virtual pages.
+type Leaf = Box<[Option<PageEntry>]>;
+
+/// A two-level page table over the 20-bit virtual page number, like the
+/// modelled x86-32 MMU's: a directory of 1024 leaves, each allocated on
+/// the first mapping inside its 4 MiB. A lookup is two indexed loads.
 #[derive(Clone, Debug, Default)]
 pub struct PageTable {
-    entries: HashMap<u64, PageEntry>,
+    /// Empty until the first mapping, then [`DIR_LEAVES`] long.
+    dir: Vec<Option<Leaf>>,
+    mapped: usize,
 }
 
 impl PageTable {
@@ -73,34 +86,68 @@ impl PageTable {
 
     /// Maps the page containing `vaddr` (which is rounded down).
     /// Returns the previous entry, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vaddr` lies outside the 32-bit virtual address space
+    /// (a simulator bug: every modelled address is 32-bit).
     pub fn map(&mut self, vaddr: u64, entry: PageEntry) -> Option<PageEntry> {
-        self.entries.insert(vaddr / PAGE_SIZE, entry)
+        let vpn = vaddr / PAGE_SIZE;
+        let leaf = (vpn / LEAF_PAGES) as usize;
+        assert!(
+            leaf < DIR_LEAVES,
+            "{vaddr:#x} is outside the 32-bit virtual address space"
+        );
+        if self.dir.is_empty() {
+            self.dir.resize_with(DIR_LEAVES, || None);
+        }
+        let leaf = self.dir[leaf].get_or_insert_with(|| vec![None; LEAF_PAGES as usize].into());
+        let prev = leaf[(vpn % LEAF_PAGES) as usize].replace(entry);
+        if prev.is_none() {
+            self.mapped += 1;
+        }
+        prev
     }
 
     /// Removes the mapping for the page containing `vaddr`.
     pub fn unmap(&mut self, vaddr: u64) -> Option<PageEntry> {
-        self.entries.remove(&(vaddr / PAGE_SIZE))
+        let vpn = vaddr / PAGE_SIZE;
+        let leaf = self.dir.get_mut((vpn / LEAF_PAGES) as usize)?.as_mut()?;
+        let prev = leaf[(vpn % LEAF_PAGES) as usize].take();
+        if prev.is_some() {
+            self.mapped -= 1;
+        }
+        prev
     }
 
     /// Looks up the entry for the page containing `vaddr`.
+    #[inline]
     pub fn lookup(&self, vaddr: u64) -> Option<PageEntry> {
-        self.entries.get(&(vaddr / PAGE_SIZE)).copied()
+        let vpn = vaddr / PAGE_SIZE;
+        let leaf = self.dir.get((vpn / LEAF_PAGES) as usize)?.as_ref()?;
+        leaf[(vpn % LEAF_PAGES) as usize]
     }
 
     /// Whether the page containing `vaddr` is mapped.
     pub fn is_mapped(&self, vaddr: u64) -> bool {
-        self.entries.contains_key(&(vaddr / PAGE_SIZE))
+        self.lookup(vaddr).is_some()
     }
 
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> usize {
-        self.entries.len()
+        self.mapped
     }
 
     /// Iterates over `(virtual page base address, entry)` pairs in
-    /// unspecified order.
+    /// ascending address order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, PageEntry)> + '_ {
-        self.entries.iter().map(|(vpn, e)| (vpn * PAGE_SIZE, *e))
+        self.dir.iter().enumerate().flat_map(|(l, leaf)| {
+            leaf.iter().flat_map(move |leaf| {
+                leaf.iter().enumerate().filter_map(move |(i, e)| {
+                    e.map(|e| ((l as u64 * LEAF_PAGES + i as u64) * PAGE_SIZE, e))
+                })
+            })
+        })
     }
 }
 
@@ -149,5 +196,22 @@ mod tests {
         let mut bases: Vec<u64> = t.iter().map(|(b, _)| b).collect();
         bases.sort_unstable();
         assert_eq!(bases, vec![0x1000, 0x3000]);
+    }
+
+    #[test]
+    fn addresses_past_32_bits_are_unmapped() {
+        let mut t = PageTable::new();
+        t.map(0xFFFF_F000, PageEntry::ram(1, true));
+        assert!(t.lookup(0xFFFF_FFFF).is_some());
+        assert!(t.lookup(0x1_0000_0000).is_none());
+        assert!(t.unmap(0x1_0000_0000).is_none());
+        assert_eq!(t.mapped_pages(), 1);
+        assert_eq!(t.iter().next().map(|(b, _)| b), Some(0xFFFF_F000));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 32-bit")]
+    fn mapping_past_32_bits_panics() {
+        PageTable::new().map(0x1_0000_0000, PageEntry::ram(1, true));
     }
 }
