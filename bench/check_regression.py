@@ -10,7 +10,7 @@ points present in the current run but absent from the baseline are
 reported as warnings — new sweeps should land with a refreshed baseline
 so they are gated from day one. Improvements pass; a clearly better run
 should be accompanied by a refreshed baseline (regenerate with e.g.
-`TWIN_BENCH_PACKETS=64 cargo bench -p twin-bench --bench shard_sweep &&
+`TWIN_BENCH_PACKETS=64 cargo bench -p twin-bench --bench eval -- shard &&
 cp BENCH_shard.json bench/baseline.json`).
 
 Entries are keyed by their identity fields (config, nics, burst,

@@ -1,10 +1,15 @@
-//! Shared helpers and paper reference values for the per-figure bench
-//! harnesses in `benches/`.
+//! The paper's evaluation as one table of named scenarios, plus the
+//! reference values and the JSON writer they share.
 //!
-//! Each harness prints the same rows/series the paper's figure or table
-//! reports, side by side with the paper's published values, and writes
-//! nothing else — `cargo bench -p twin-bench` regenerates the entire
-//! evaluation section.
+//! Every figure, table and sweep is a scenario in [`scenarios`]:
+//! `cargo bench -p twin-bench --bench eval -- <name>` (or
+//! `twindrivers-repro <name>`) runs one, and no name runs them all. A
+//! figure scenario prints the rows the paper reports next to the
+//! paper's published values; a sweep scenario also prints one JSON
+//! entry per point, checks its acceptance claims and writes
+//! `BENCH_<name>.json` at the workspace root for the regression gate.
+
+pub mod scenarios;
 
 /// Paper values for Figure 5 (transmit throughput, Mb/s):
 /// domU, domU-twin, dom0, Linux.
@@ -83,12 +88,51 @@ pub fn row(label: &str, measured: f64, paper: f64, unit: &str) -> String {
     )
 }
 
-/// Number of packets per measurement in the figure harnesses.
+/// Scales every scenario's run length (packets per measurement).
+pub const PACKETS_VAR: &str = "TWIN_BENCH_PACKETS";
+
+/// Overrides the paced sweeps' heavy-phase inter-burst gap.
+pub const GAP_VAR: &str = "TWIN_BENCH_GAP_CYCLES";
+
+/// Parses one numeric environment value: unset means `default`, and
+/// anything but an unsigned integer is an error naming the variable
+/// (a typo must not silently run the default budget).
+///
+/// # Errors
+///
+/// Returns the variable's name and the rejected value.
+pub fn parse_env_u64(name: &str, value: Option<&str>, default: u64) -> Result<u64, String> {
+    match value {
+        None => Ok(default),
+        Some(s) => s
+            .parse()
+            .map_err(|_| format!("{name}={s:?} is not an unsigned integer")),
+    }
+}
+
+fn env_u64(name: &str, default: u64) -> Result<u64, String> {
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_env_u64(name, value.as_deref(), default)
+}
+
+/// Checks both numeric environment variables up front, so a malformed
+/// value fails before any scenario runs.
+///
+/// # Errors
+///
+/// The first malformed variable, by name.
+pub fn check_env() -> Result<(), String> {
+    env_u64(PACKETS_VAR, 0)?;
+    env_u64(GAP_VAR, 0).map(drop)
+}
+
+/// Number of packets per measurement (`TWIN_BENCH_PACKETS`, default 300).
+///
+/// # Panics
+///
+/// On a malformed value ([`check_env`] reports it cleanly first).
 pub fn packets() -> u64 {
-    std::env::var("TWIN_BENCH_PACKETS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(300)
+    env_u64(PACKETS_VAR, 300).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Default scheduled inter-burst arrival gap for the paced receive
@@ -102,11 +146,149 @@ pub const DEFAULT_GAP_CYCLES: u64 = 150_000;
 /// and the autotune sweeps, so one variable retargets the offered load
 /// everywhere. The default reproduces the committed baselines
 /// bit-exactly.
+///
+/// # Panics
+///
+/// On a malformed value ([`check_env`] reports it cleanly first).
 pub fn gap_cycles() -> u64 {
-    std::env::var("TWIN_BENCH_GAP_CYCLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_GAP_CYCLES)
+    env_u64(GAP_VAR, DEFAULT_GAP_CYCLES).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Whether flight-recorder exports are requested (`TWIN_TRACE_OUT`).
+/// Tracing charges no cycles, so the sweep numbers are identical either
+/// way.
+pub fn tracing() -> bool {
+    std::env::var_os("TWIN_TRACE_OUT").is_some()
+}
+
+/// One JSON object's `"key": value` fields, rendered in insertion order
+/// with the exact number formats the committed baselines use.
+#[derive(Clone, Debug, Default)]
+pub struct Entry(Vec<String>);
+
+impl Entry {
+    /// An empty object.
+    pub fn new() -> Entry {
+        Entry::default()
+    }
+
+    fn field(mut self, key: &str, value: std::fmt::Arguments) -> Entry {
+        self.0.push(format!("\"{key}\": {value}"));
+        self
+    }
+
+    /// A quoted string field.
+    pub fn str(self, key: &str, v: &str) -> Entry {
+        self.field(key, format_args!("\"{v}\""))
+    }
+
+    /// An integer or boolean field, printed as is.
+    pub fn int(self, key: &str, v: impl std::fmt::Display) -> Entry {
+        self.field(key, format_args!("{v}"))
+    }
+
+    /// A float field with one decimal (cycles, Mb/s, percentages).
+    pub fn f1(self, key: &str, v: f64) -> Entry {
+        self.field(key, format_args!("{v:.1}"))
+    }
+
+    /// A float field with four decimals (per-packet rates).
+    pub fn f4(self, key: &str, v: f64) -> Entry {
+        self.field(key, format_args!("{v:.4}"))
+    }
+
+    /// The one-line object: `{"a": 1, "b": "x"}`.
+    pub fn render(&self) -> String {
+        format!("{{{}}}", self.0.join(", "))
+    }
+}
+
+/// A scenario's output: the JSON document of a sweep (top-level header
+/// fields plus one entry per point) and its acceptance verdicts.
+#[derive(Debug, Default)]
+pub struct Sweep {
+    /// Writes `BENCH_<name>.json` on [`Sweep::finish`]; `None` prints
+    /// only.
+    name: Option<&'static str>,
+    header: Entry,
+    entries: Vec<String>,
+    failed: Vec<String>,
+}
+
+impl Sweep {
+    /// A sweep that writes `BENCH_<name>.json` at the workspace root.
+    pub fn new(name: &'static str) -> Sweep {
+        Sweep {
+            name: Some(name),
+            ..Sweep::default()
+        }
+    }
+
+    /// A scenario that only prints (the paper's figures and tables).
+    pub fn report() -> Sweep {
+        Sweep::default()
+    }
+
+    /// Adds top-level fields, written before `"entries"`.
+    pub fn header(&mut self, fields: Entry) {
+        self.header.0.extend(fields.0);
+    }
+
+    /// Records one sweep point and prints it.
+    pub fn push(&mut self, entry: Entry) {
+        let line = entry.render();
+        println!("    {line}");
+        self.entries.push(line);
+    }
+
+    /// Records and prints one acceptance verdict; a failed one makes
+    /// [`Sweep::finish`] return `Err`.
+    pub fn check(&mut self, ok: bool, what: impl Into<String>) {
+        let what = what.into();
+        if ok {
+            println!("  acceptance ok: {what}");
+        } else {
+            eprintln!("  ACCEPTANCE FAILED: {what}");
+            self.failed.push(what);
+        }
+    }
+
+    /// The JSON document [`Sweep::finish`] writes.
+    pub fn render(&self) -> String {
+        let mut out = String::from("{\n");
+        for field in &self.header.0 {
+            out += &format!("  {field},\n");
+        }
+        out += &format!(
+            "  \"entries\": [\n{}\n  ]\n}}\n",
+            self.entries
+                .iter()
+                .map(|e| format!("    {e}"))
+                .collect::<Vec<_>>()
+                .join(",\n")
+        );
+        out
+    }
+
+    /// Writes `BENCH_<name>.json` (for a named sweep) and reports the
+    /// verdicts.
+    ///
+    /// # Errors
+    ///
+    /// When the file cannot be written or any check failed.
+    pub fn finish(self) -> Result<(), String> {
+        if let Some(name) = self.name {
+            let file = format!("BENCH_{name}.json");
+            // Anchor at the workspace root regardless of cargo's cwd.
+            let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+            std::fs::write(&path, self.render()).map_err(|e| format!("writing {path}: {e}"))?;
+            println!("  wrote {file} ({} sweep points)", self.entries.len());
+        }
+        match self.failed.len() {
+            0 => Ok(()),
+            n => Err(format!("{n} acceptance check(s) failed")),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -15,18 +15,18 @@
 //! auto-tuned system is within 15% of the per-phase best static `ITR`
 //! on **both** interrupts/packet and p99 arrival→delivery latency,
 //! where "best static" maximizes interrupt reduction subject to p99 ≤
-//! 2× the phase's unmoderated p99 (the PR 4 acceptance shape). The
-//! sweep also reports, per static setting, the phases where that
-//! setting misses the front — the pareto-tracking contrast.
+//! 2× the phase's unmoderated p99 (the moderation sweep's acceptance
+//! shape). The sweep also reports which static settings track every
+//! phase — none, when a profile genuinely crosses regimes.
 //!
 //! Pacing shares `TWIN_BENCH_GAP_CYCLES` with the moderation sweep (the
 //! heavy-phase gap; lighter phases derive from it — see
-//! `LoadProfile::gaps`). Besides the table, the sweep writes
-//! **`BENCH_autotune.json`** (workspace root) gated in CI against
+//! `LoadProfile::gaps`). Writes `BENCH_autotune.json`, gated against
 //! `bench/baseline_autotune.json` (identity fields:
 //! profile/phase/nics/burst/mode/itr).
 
-use twin_bench::{banner, gap_cycles, packets};
+use super::moderation::MIN_PACKETS;
+use crate::{banner, gap_cycles, packets, Entry, Sweep};
 use twindrivers::measure::{measure_rx_autotuned, AutotunedRx, LoadProfile};
 use twindrivers::nic::ITR_LADDER;
 use twindrivers::{Config, ShardPolicy, System, SystemOptions};
@@ -39,18 +39,14 @@ const BURST: usize = 32;
 /// transient; identical for static runs, so drift accounting matches).
 const SETTLE_PACKETS: u64 = 256;
 
-/// Phases need enough rounds for steady state regardless of the CI
-/// smoke budget (matches the moderation sweep's floor).
-const MIN_PACKETS: u64 = 384;
-
 /// Best-static eligibility: p99 within this factor of the phase's
-/// unmoderated (ITR 0) p99 — the PR 4 acceptance shape.
+/// unmoderated (ITR 0) p99.
 const P99_BUDGET: f64 = 2.0;
 
 /// Tracking tolerance vs the per-phase best static point, both metrics.
 const TRACK_TOLERANCE: f64 = 1.15;
 
-fn run(profile: LoadProfile, autotune: bool, itr: u32, pkts: u64, gap: u64) -> AutotunedRx {
+fn measure(profile: LoadProfile, autotune: bool, itr: u32, pkts: u64, gap: u64) -> AutotunedRx {
     let opts = SystemOptions {
         num_nics: NICS,
         shard: ShardPolicy::FlowHash,
@@ -92,81 +88,62 @@ fn tracks(run: &AutotunedRx, best: &AutotunedRx, phase: usize) -> bool {
         && a.latency.p99 as f64 <= TRACK_TOLERANCE * b.latency.p99.max(1) as f64
 }
 
-fn json_entries(r: &AutotunedRx, out: &mut Vec<String>) {
+fn push_phases(sweep: &mut Sweep, r: &AutotunedRx) {
     for (i, p) in r.phases.iter().enumerate() {
-        let itr_field = if r.autotune {
-            String::new()
+        let mut e = Entry::new()
+            .str("config", "domU-twin")
+            .str("profile", r.profile.label())
+            .int("phase", i)
+            .int("nics", r.nics)
+            .int("burst", r.burst);
+        e = if r.autotune {
+            e.str("mode", "autotune")
         } else {
-            format!("\"itr\": {}, ", r.static_itr)
+            e.str("mode", "static").int("itr", r.static_itr)
         };
-        out.push(format!(
-            concat!(
-                "    {{\"config\": \"domU-twin\", \"profile\": \"{}\", \"phase\": {}, ",
-                "\"nics\": {}, \"burst\": {}, \"mode\": \"{}\", {}\"gap_cycles\": {}, ",
-                "\"rx_cycles_per_packet\": {:.1}, \"irqs_per_packet\": {:.4}, ",
-                "\"p50_cycles\": {}, \"p99_cycles\": {}, \"itr_end\": {}, \"retunes\": {}}}"
-            ),
-            r.profile,
-            i,
-            r.nics,
-            r.burst,
-            if r.autotune { "autotune" } else { "static" },
-            itr_field,
-            p.gap_cycles,
-            p.breakdown.total(),
-            p.irqs_per_packet,
-            p.latency.p50,
-            p.latency.p99,
-            p.itr_end,
-            p.retunes,
-        ));
+        sweep.push(
+            e.int("gap_cycles", p.gap_cycles)
+                .f1("rx_cycles_per_packet", p.breakdown.total())
+                .f4("irqs_per_packet", p.irqs_per_packet)
+                .int("p50_cycles", p.latency.p50)
+                .int("p99_cycles", p.latency.p99)
+                .int("itr_end", p.itr)
+                .int("retunes", p.retunes),
+        );
     }
 }
 
-fn main() {
+pub fn run() -> Sweep {
     banner(
         "Autotune sweep — closed-loop ITR vs the static grid under shifting load",
         "repo extension (e1000_update_itr); acceptance: within 15% of per-phase best static on irqs/pkt AND p99",
     );
     let pkts = packets().max(MIN_PACKETS);
     let gap = gap_cycles();
-    let mut entries: Vec<String> = Vec::new();
-    let mut all_phases_tracked = true;
+    let mut sweep = Sweep::new("autotune");
+    sweep.header(Entry::new().int("packets", pkts).int("gap_cycles", gap));
     for profile in [LoadProfile::Step, LoadProfile::Ramp] {
-        println!("  domU-twin, {NICS} NICs, burst {BURST}, profile {profile} (heavy gap {gap}):");
         // The static grid IS the tuner's ladder: "tracking the pareto
         // front" is evaluated against the exact rungs the tuner can
         // land on.
         let statics: Vec<AutotunedRx> = ITR_LADDER
             .iter()
-            .map(|&itr| run(profile, false, itr, pkts, gap))
+            .map(|&itr| measure(profile, false, itr, pkts, gap))
             .collect();
-        let auto = run(profile, true, 0, pkts, gap);
-        for s in &statics {
-            for p in &s.phases {
-                println!("    static itr {:>5}   {}", s.static_itr, p.row());
-            }
+        let auto = measure(profile, true, 0, pkts, gap);
+        for r in statics.iter().chain([&auto]) {
+            push_phases(&mut sweep, r);
         }
-        for p in &auto.phases {
-            println!("    autotune          {}", p.row());
-        }
-
-        // Per-phase pareto check.
         for phase in 0..auto.phases.len() {
-            let b = best_static(&statics, phase);
-            let ok = tracks(&auto, &statics[b], phase);
-            all_phases_tracked &= ok;
-            println!(
-                "    phase {phase} (gap {:>7}): best static itr {:>4} ({:.4} irqs/pkt, p99 {}) — autotune {}",
-                auto.phases[phase].gap_cycles,
-                statics[b].static_itr,
-                statics[b].phases[phase].irqs_per_packet,
-                statics[b].phases[phase].latency.p99,
-                if ok { "tracks (within 15%)" } else { "MISSES" },
+            let b = &statics[best_static(&statics, phase)];
+            sweep.check(
+                tracks(&auto, b, phase),
+                format!(
+                    "{profile} phase {phase}: autotune within 15% of best static itr {} ({:.4} irqs/pkt, p99 {})",
+                    b.static_itr, b.phases[phase].irqs_per_packet, b.phases[phase].latency.p99
+                ),
             );
         }
-        // The contrast: which static settings track every phase? A
-        // profile that genuinely crosses regimes leaves this list empty.
         let chasers: Vec<u32> = statics
             .iter()
             .filter(|s| {
@@ -174,44 +151,7 @@ fn main() {
             })
             .map(|s| s.static_itr)
             .collect();
-        println!(
-            "    static settings tracking every phase: {}",
-            if chasers.is_empty() {
-                "none — only the auto-tuner follows the front".to_string()
-            } else {
-                format!("{chasers:?}")
-            }
-        );
-        println!();
-        for s in &statics {
-            json_entries(s, &mut entries);
-        }
-        json_entries(&auto, &mut entries);
+        println!("  {profile}: static settings tracking every phase: {chasers:?}");
     }
-    println!(
-        "  acceptance: auto-tuner within 15% of per-phase best static everywhere: {}",
-        if all_phases_tracked { "yes" } else { "NO" }
-    );
-
-    let json = format!(
-        "{{\n  \"packets\": {},\n  \"gap_cycles\": {},\n  \"entries\": [\n{}\n  ]\n}}\n",
-        pkts,
-        gap,
-        entries.join(",\n"),
-    );
-    // Anchor at the workspace root regardless of cargo's bench cwd.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_autotune.json");
-    match std::fs::write(out, &json) {
-        Ok(()) => println!(
-            "  wrote BENCH_autotune.json ({} sweep points)",
-            entries.len()
-        ),
-        Err(e) => eprintln!("  could not write {out}: {e}"),
-    }
-    // Unlike the descriptive sweeps, the pareto-tracking claim is this
-    // harness's acceptance criterion: failing it fails the CI step
-    // (the regression gate only covers cycles/packet drift).
-    if !all_phases_tracked {
-        std::process::exit(1);
-    }
+    sweep
 }

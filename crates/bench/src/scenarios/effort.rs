@@ -1,21 +1,20 @@
 //! §6.5 Engineering effort: the paper implemented the ten fast-path
-//! support routines in 851 lines of commented C. This harness counts the
-//! equivalent artifacts of the reproduction: the hypervisor support
+//! support routines in 851 lines of commented C. This scenario counts
+//! the equivalent artifacts of the reproduction: the hypervisor support
 //! module versus the full dom0 support surface the upcall mechanism lets
 //! the hypervisor *avoid* reimplementing.
 
-use std::fs;
+use crate::{banner, Sweep, PAPER_EFFORT_LOC};
 use std::path::Path;
-use twin_bench::{banner, PAPER_EFFORT_LOC};
 use twin_kernel::{KNOWN_ROUTINES, TABLE1_FASTPATH};
 
 fn loc(path: &Path) -> usize {
-    fs::read_to_string(path)
+    std::fs::read_to_string(path)
         .map(|s| s.lines().filter(|l| !l.trim().is_empty()).count())
         .unwrap_or(0)
 }
 
-fn main() {
+pub fn run() -> Sweep {
     banner(
         "§6.5 — Engineering effort",
         "851 LoC of commented C for the 10 hypervisor support routines",
@@ -41,4 +40,5 @@ fn main() {
         100.0 * TABLE1_FASTPATH.len() as f64 / KNOWN_ROUTINES.len() as f64
     );
     println!("     routine count; everything else is reused from dom0 by upcall.");
+    Sweep::report()
 }

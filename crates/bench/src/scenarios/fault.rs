@@ -1,0 +1,147 @@
+//! Fault sweep: driver quarantine + live recovery under the three
+//! fault classes the paper's §4.5 safety machinery must contain —
+//! wild write (SVM reject), wedged ring (corrupted adapter state
+//! faulting on the next register access) and infinite loop (VINO-style
+//! execution-watchdog budget exhaustion, §4.5.2) — each at two fault
+//! rates (1 and 3 episodes per run).
+//!
+//! Not a paper figure — the paper stops at "the hypervisor survives";
+//! this sweep measures what surviving is worth: recovery latency from
+//! fault detection to device reset, bounded in-flight loss (one burst
+//! per episode on the wire, plus counted queued-upcall and in-flight
+//! discards), and blast radius — sibling NICs' goodput against an
+//! unfaulted control run over the identical closed-loop schedule.
+//! Everything derives from registry deltas (`nic{i}.rx_packets`,
+//! `fault.*`) and the recovery log; with `TWIN_TRACE_OUT` set, each
+//! class additionally exports a chrome trace whose quarantine→recovery
+//! episode renders as an `X` span (CI gates on its presence).
+//!
+//! Both systems run the *same* sabotaged driver source
+//! (`fault_injected_source` — the dormant arm-check costs a few
+//! instructions per invocation), so the control differs from the
+//! faulted run only in never arming the payload. The other sweeps'
+//! baselines are untouched: they build the stock driver.
+//!
+//! Acceptance (per point):
+//! * post-recovery goodput on the faulted device ≥ 95% of its
+//!   pre-fault window;
+//! * sibling goodput within 5% of the unfaulted control (zero
+//!   cross-NIC blast radius);
+//! * wire loss bounded by one burst per episode, and total discarded
+//!   in-flight work bounded per episode.
+//!
+//! Writes `BENCH_fault.json`, gated against `bench/baseline_fault.json`
+//! (recovery latency normalized as `recovery_cycles_per_packet` =
+//! recovery cycles per frame of the aborted burst, to ride the
+//! `*_cycles_per_packet` gate machinery).
+
+use crate::{banner, packets, tracing, Entry, Sweep};
+use twindrivers::measure::{fault_injected_source, measure_fault_recovery, FaultClass};
+use twindrivers::{Config, ShardPolicy, System, SystemOptions, UpcallMode};
+
+const NICS: usize = 4;
+const BURST: usize = 32;
+/// The faulted device; 0, 2, 3 are the siblings whose goodput must not
+/// move.
+const DEV: u32 = 1;
+/// Everything-on configuration: the quarantine path has the most state
+/// to tear down — NAPI latches, a deferred-upcall ring with a flush
+/// deadline, and grant-mapped zero-copy pools.
+const NAPI_WEIGHT: usize = 8;
+const FLUSH_DEADLINE: u64 = 200_000;
+/// Fault-rate axis: episodes injected per run.
+const EPISODE_SWEEP: [u32; 2] = [1, 3];
+/// Bound on counted in-flight discards per episode: at most one
+/// ring's worth of frames attributed to the dead device plus one
+/// upcall ring of queued entries.
+const DROP_BOUND_PER_EPISODE: u64 = 256;
+
+fn build(class: FaultClass, recovery: bool) -> System {
+    let opts = SystemOptions {
+        driver_source: Some(fault_injected_source(class)),
+        num_nics: NICS,
+        shard: ShardPolicy::FlowHash,
+        zero_copy: true,
+        napi_weight: NAPI_WEIGHT,
+        upcall_mode: UpcallMode::Deferred,
+        upcall_flush_deadline_cycles: Some(FLUSH_DEADLINE),
+        fault_recovery: recovery,
+        tracing: recovery && tracing(),
+        ..SystemOptions::default()
+    };
+    System::build_with(Config::TwinDrivers, &opts).expect("build system")
+}
+
+pub fn run() -> Sweep {
+    banner(
+        "Fault sweep — driver quarantine + live recovery per fault class",
+        "\u{a7}4.5 safety (SVM reject, wedged state, \u{a7}4.5.2 watchdog); acceptance: recovery >= 95% pre-fault goodput, siblings within 5% of unfaulted control, loss bounded per episode",
+    );
+    let pkts = packets();
+    // Window length per phase: enough rounds that one round's quantum
+    // effects don't dominate the pre/post goodput comparison.
+    let rounds = (pkts / (BURST * NICS) as u64).max(2);
+    println!("  schedule: {rounds} rounds x {NICS} devices x burst {BURST} per window, faulting dev {DEV}");
+    let mut sweep = Sweep::new("fault");
+    sweep.header(Entry::new().int("packets", pkts).str("policy", "flow-hash"));
+    for class in FaultClass::ALL {
+        for episodes in EPISODE_SWEEP {
+            let (mut sys, mut control) = (build(class, true), build(class, false));
+            let p =
+                measure_fault_recovery(&mut sys, &mut control, DEV, class, rounds, BURST, episodes)
+                    .expect("fault point");
+            sweep.push(
+                Entry::new()
+                    .str("config", Config::TwinDrivers.label())
+                    .str("profile", class.label())
+                    .str("mode", &format!("ep{episodes}"))
+                    .int("nics", p.nics)
+                    .int("burst", p.burst)
+                    .f1(
+                        "recovery_cycles_per_packet",
+                        p.recovery_cycles as f64 / p.episodes.max(1) as f64 / BURST as f64,
+                    )
+                    .int("recovery_cycles", p.recovery_cycles)
+                    .int("replayed", p.replayed)
+                    .int("dropped", p.dropped)
+                    .int("lost_frames", p.lost_frames)
+                    .int("revoked_mappings", p.revoked_mappings)
+                    .int("pre_delivered", p.pre_delivered)
+                    .int("post_delivered", p.post_delivered)
+                    .int("sibling_delivered", p.sibling_delivered)
+                    .int("sibling_control", p.sibling_control)
+                    .f1("recovery_pct", p.recovery_frac() * 100.0)
+                    .f1("sibling_pct", p.sibling_frac() * 100.0),
+            );
+            let point = format!("{class} ep{episodes}");
+            sweep.check(
+                p.recovery_frac() >= 0.95,
+                format!(
+                    "{point}: post-recovery goodput {:.1}% of pre-fault >= 95%",
+                    p.recovery_frac() * 100.0
+                ),
+            );
+            sweep.check(
+                (0.95..=1.05).contains(&p.sibling_frac()),
+                format!(
+                    "{point}: sibling goodput {:.1}% of unfaulted control within 95..105%",
+                    p.sibling_frac() * 100.0
+                ),
+            );
+            let wire_bound = u64::from(episodes) * BURST as u64;
+            sweep.check(
+                p.lost_frames <= wire_bound,
+                format!(
+                    "{point}: wire loss {} <= one burst per episode ({wire_bound})",
+                    p.lost_frames
+                ),
+            );
+            let drop_bound = u64::from(episodes) * DROP_BOUND_PER_EPISODE;
+            sweep.check(
+                p.dropped <= drop_bound,
+                format!("{point}: {} in-flight discards <= {drop_bound}", p.dropped),
+            );
+        }
+    }
+    sweep
+}

@@ -9,10 +9,11 @@
 //! two switches per call), and burst-32 deferred upcalls (two switches
 //! per *flush*).
 
-use twin_bench::{banner, packets, PAPER_FIG10_ENDPOINTS};
+use crate::{banner, packets, Sweep, PAPER_FIG10_ENDPOINTS};
 use twindrivers::{throughput, Config, System, SystemOptions, UpcallMode, TESTBED_NICS};
 
-fn build(n: usize, mode: UpcallMode) -> System {
+/// A TwinDrivers system with `n` support routines forced to upcalls.
+pub(super) fn build(n: usize, mode: UpcallMode) -> System {
     let opts = SystemOptions {
         upcall_count: n,
         upcall_mode: mode,
@@ -21,7 +22,7 @@ fn build(n: usize, mode: UpcallMode) -> System {
     System::build_with(Config::TwinDrivers, &opts).expect("build")
 }
 
-fn main() {
+pub fn run() -> Sweep {
     banner(
         "Figure 10 — Transmit throughput vs upcalls per driver invocation",
         "3902 Mb/s at 0 upcalls, 1638 at 1, 359 at 9",
@@ -32,20 +33,21 @@ fn main() {
     );
     for n in 0..=9usize {
         // The paper's regime: per-packet transmit, synchronous upcalls.
-        let mut sys = build(n, UpcallMode::Sync);
-        let b = sys.measure_tx(packets()).expect("measure");
+        let b = build(n, UpcallMode::Sync)
+            .measure_tx(packets())
+            .expect("measure");
         let t = throughput(b.total(), TESTBED_NICS);
         let upcalls = b.events.get("upcall").copied().unwrap_or(0) as f64 / b.packets as f64;
         // Burst 32, still synchronous: batching amortizes the stack and
-        // doorbells but every upcall keeps its own switch-pair.
-        let mut sys32 = build(n, UpcallMode::Sync);
-        let b32 = sys32.measure_tx_burst(32, packets()).expect("measure b32");
-        let t32 = throughput(b32.breakdown.total(), TESTBED_NICS);
-        // Burst 32 with the deferred engine: queued upcalls drain in one
-        // switch-pair per flush.
-        let mut sysd = build(n, UpcallMode::Deferred);
-        let bd = sysd.measure_tx_burst(32, packets()).expect("measure defer");
-        let td = throughput(bd.breakdown.total(), TESTBED_NICS);
+        // doorbells but every upcall keeps its own switch-pair; with the
+        // deferred engine queued upcalls drain in one switch-pair per
+        // flush.
+        let [t32, td] = [UpcallMode::Sync, UpcallMode::Deferred].map(|mode| {
+            let m = build(n, mode)
+                .measure_tx_burst(32, packets())
+                .expect("measure b32");
+            throughput(m.breakdown.total(), TESTBED_NICS)
+        });
         println!(
             "{:>8} {:>12.0} {:>16.0} {:>14.2} {:>14.0} {:>14.0}",
             n,
@@ -60,4 +62,5 @@ fn main() {
     for (n, mbps) in PAPER_FIG10_ENDPOINTS {
         println!("  paper at {n} upcalls: {mbps:.0} Mb/s");
     }
+    Sweep::report()
 }

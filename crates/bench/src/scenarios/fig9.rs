@@ -2,11 +2,11 @@
 //! the offered request rate (knot server, SPECweb99 static file set,
 //! httperf open-loop clients).
 
-use twin_bench::{banner, PAPER_FIG9_PEAKS};
+use crate::{banner, Sweep, PAPER_FIG9_PEAKS};
 use twin_workloads::run_webserver;
 use twindrivers::Config;
 
-fn main() {
+pub fn run() -> Sweep {
     banner(
         "Figure 9 — Web server throughput vs request rate",
         "peaks: Linux 855 / dom0 712 / domU-twin 572 / domU 269 Mb/s",
@@ -19,17 +19,15 @@ fn main() {
             .map(|l| format!("{l:>11}"))
             .join(" ")
     );
-    let configs = [
+    let series: Vec<_> = [
         Config::NativeLinux,
         Config::XenDom0,
         Config::TwinDrivers,
         Config::XenGuest,
-    ];
-    let mut series = Vec::new();
-    for c in configs {
-        let (model, pts) = run_webserver(c, &rates, 150).expect("webserver run");
-        series.push((model, pts));
-    }
+    ]
+    .into_iter()
+    .map(|c| run_webserver(c, &rates, 150).expect("webserver run"))
+    .collect();
     for (i, rate) in rates.iter().enumerate() {
         let cells: Vec<String> = series
             .iter()
@@ -50,4 +48,5 @@ fn main() {
     for (label, peak) in PAPER_FIG9_PEAKS {
         println!("    {label:>10}: {peak:>6.0}");
     }
+    Sweep::report()
 }

@@ -4,10 +4,10 @@
 //! contrasted with the full set the driver calls across all its paths
 //! (the paper counts 97).
 
-use twin_bench::{banner, PAPER_TABLE1};
+use crate::{banner, Sweep, PAPER_TABLE1};
 use twindrivers::{Config, System};
 
-fn main() {
+pub fn run() -> Sweep {
     banner(
         "Table 1 — Support routines on the error-free TX/RX fast path",
         "10 routines, out of 97 called by the driver overall",
@@ -24,11 +24,11 @@ fn main() {
     // The full support surface: every routine the driver references.
     let module = twin_isa::asm::assemble("e1000", &twindrivers::kernel::e1000::source())
         .expect("driver assembles");
-    let total: Vec<String> = module
+    let total = module
         .undefined_symbols()
         .into_iter()
         .filter(|s| !s.starts_with("__svm"))
-        .collect();
+        .count();
 
     println!("  {:<24} Description", "Routine name");
     println!("  {:-<24} {:-<40}", "", "");
@@ -47,8 +47,6 @@ fn main() {
     println!();
     println!("  fast-path routines measured : {}", fast.len());
     println!("  unexpected fast-path entries: {extra:?}");
-    println!(
-        "  total support routines called by the driver: {} (paper: 97)",
-        total.len()
-    );
+    println!("  total support routines called by the driver: {total} (paper: 97)");
+    Sweep::report()
 }

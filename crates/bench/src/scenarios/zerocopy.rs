@@ -14,14 +14,11 @@
 //! measured run: first-touch pool maps (`grant_map` + `pin_page`, paid
 //! once per pool page) happen there, so the measured window shows the
 //! steady state the paper's sustained benchmarks would see. Both modes
-//! run the identical procedure to keep the comparison honest.
-//!
-//! Besides the human-readable table, the sweep writes
-//! **`BENCH_zerocopy.json`** (workspace root) so CI's bench-regression
-//! gate can track the trajectory against `bench/baseline_zerocopy.json`.
+//! run the identical procedure to keep the comparison honest. Writes
+//! `BENCH_zerocopy.json`, gated against `bench/baseline_zerocopy.json`.
 
-use twin_bench::{banner, packets};
-use twindrivers::measure::{measure_aggregate_throughput, AggregateThroughput};
+use crate::{banner, packets, Entry, Sweep};
+use twindrivers::measure::measure_aggregate_throughput;
 use twindrivers::{Config, ShardPolicy, System, SystemOptions};
 
 const NIC_COUNTS: [usize; 2] = [1, 4];
@@ -40,37 +37,16 @@ fn build(nics: usize, zero_copy: bool) -> System {
     .expect("build system")
 }
 
-fn json_entry(config: Config, zero_copy: bool, a: &AggregateThroughput) -> String {
-    format!(
-        concat!(
-            "    {{\"config\": \"{}\", \"zerocopy\": {}, \"nics\": {}, \"burst\": {}, ",
-            "\"tx_cycles_per_packet\": {:.1}, \"rx_cycles_per_packet\": {:.1}, ",
-            "\"aggregate_mbps\": {:.1}, ",
-            "\"grant_maps\": {}, \"grant_unmaps\": {}, \"grant_copies\": {}}}"
-        ),
-        config.label(),
-        zero_copy,
-        a.nics,
-        a.burst,
-        a.tx_cycles_per_packet,
-        a.rx_cycles_per_packet,
-        a.aggregate_mbps(),
-        a.grants.maps,
-        a.grants.unmaps,
-        a.grants.copies,
-    )
-}
-
-fn main() {
+pub fn run() -> Sweep {
     banner(
         "Zero-copy sweep — grant-mapped pools vs per-packet grant copy",
         "repo extension (I/O channel §2); acceptance: >= 1.3x RX cycles/pkt at 4 NICs burst 32, warm maps/pkt <= 0.05",
     );
     let config = Config::TwinDrivers;
     let pkts = packets();
-    let mut entries: Vec<String> = Vec::new();
-    let mut off_rx32 = 0.0_f64;
-    let mut on_rx32 = 0.0_f64;
+    let mut sweep = Sweep::new("zerocopy");
+    sweep.header(Entry::new().int("packets", pkts).str("policy", "flow-hash"));
+    let (mut off_rx32, mut on_rx32) = (0.0_f64, 0.0_f64);
     let mut warm_maps_per_pkt = f64::NAN;
     for nics in NIC_COUNTS {
         for burst in BURSTS {
@@ -83,58 +59,44 @@ fn main() {
                 sys.take_wire_frames();
                 sys.measure_rx_burst(burst, pkts).expect("prime rx");
                 let a = measure_aggregate_throughput(&mut sys, burst, pkts).expect("sweep point");
-                let mode = if zero_copy { "zero-copy" } else { "copy     " };
-                println!("    {mode} {}", a.row());
-                if nics == 4 && burst == 32 {
+                if (nics, burst) == (4, 32) {
                     if zero_copy {
                         on_rx32 = a.rx_cycles_per_packet;
                         // Steady-state RX window on the warm system: the
                         // acceptance counts residual grant map/unmap
                         // traffic per packet.
                         let w = sys.measure_rx_burst(burst, pkts).expect("warm rx window");
-                        let maps = w.breakdown.events.get("grant_map").copied().unwrap_or(0)
-                            + w.breakdown.events.get("grant_unmap").copied().unwrap_or(0);
-                        warm_maps_per_pkt = maps as f64 / w.breakdown.packets.max(1) as f64;
+                        let ev = |name| w.breakdown.events.get(name).copied().unwrap_or(0);
+                        warm_maps_per_pkt = (ev("grant_map") + ev("grant_unmap")) as f64
+                            / w.breakdown.packets.max(1) as f64;
                     } else {
                         off_rx32 = a.rx_cycles_per_packet;
                     }
                 }
-                entries.push(json_entry(config, zero_copy, &a));
+                sweep.push(
+                    Entry::new()
+                        .str("config", config.label())
+                        .int("zerocopy", zero_copy)
+                        .int("nics", a.nics)
+                        .int("burst", a.burst)
+                        .f1("tx_cycles_per_packet", a.tx_cycles_per_packet)
+                        .f1("rx_cycles_per_packet", a.rx_cycles_per_packet)
+                        .f1("aggregate_mbps", a.aggregate_mbps())
+                        .int("grant_maps", a.grants.maps)
+                        .int("grant_unmaps", a.grants.unmaps)
+                        .int("grant_copies", a.grants.copies),
+                );
             }
         }
-        println!();
     }
     let ratio = off_rx32 / on_rx32.max(1.0);
-    println!("  RX cycles/packet at 4 NICs burst 32: copy {off_rx32:.0} vs zero-copy {on_rx32:.0} = {ratio:.2}x (acceptance >= 1.3x)");
-    println!(
-        "  warm-window grant map+unmap per packet: {warm_maps_per_pkt:.3} (acceptance <= 0.05)"
+    sweep.check(
+        ratio >= 1.3,
+        format!("RX cycles/pkt at 4 NICs burst 32: copy {off_rx32:.0} / zero-copy {on_rx32:.0} = {ratio:.2}x >= 1.3x"),
     );
-
-    let json = format!(
-        "{{\n  \"packets\": {},\n  \"policy\": \"flow-hash\",\n  \"entries\": [\n{}\n  ]\n}}\n",
-        pkts,
-        entries.join(",\n"),
+    sweep.check(
+        warm_maps_per_pkt <= 0.05,
+        format!("warm-window grant map+unmap per packet {warm_maps_per_pkt:.3} <= 0.05"),
     );
-    // Anchor at the workspace root regardless of cargo's bench cwd.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_zerocopy.json");
-    match std::fs::write(out, &json) {
-        Ok(()) => println!(
-            "  wrote BENCH_zerocopy.json ({} sweep points)",
-            entries.len()
-        ),
-        Err(e) => eprintln!("  could not write {out}: {e}"),
-    }
-
-    let mut failed = false;
-    if ratio < 1.3 {
-        eprintln!("  ACCEPTANCE FAILED: RX speedup {ratio:.2}x < 1.3x");
-        failed = true;
-    }
-    if warm_maps_per_pkt.is_nan() || warm_maps_per_pkt > 0.05 {
-        eprintln!("  ACCEPTANCE FAILED: warm grant maps/packet {warm_maps_per_pkt:.3} > 0.05");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    sweep
 }

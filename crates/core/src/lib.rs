@@ -51,7 +51,7 @@
 //! [`System::measure_tx_burst`] / [`System::measure_rx_burst`] sweep
 //! burst sizes and report amortized cycles/packet plus
 //! interrupts/doorbells per packet (`cargo bench -p twin-bench --bench
-//! batch_sweep`). At burst 32 the TwinDrivers configuration moves the
+//! eval -- batch`). At burst 32 the TwinDrivers configuration moves the
 //! same traffic with ≥ 1.3× fewer amortized cycles/packet and 32× fewer
 //! interrupts/packet than burst 1.
 //!
@@ -72,7 +72,7 @@
 //!
 //! [`measure::measure_aggregate_throughput`] converts the amortized
 //! cycles/packet of a sharded run into aggregate RX+TX throughput over
-//! the system's links (`cargo bench -p twin-bench --bench shard_sweep`
+//! the system's links (`cargo bench -p twin-bench --bench eval -- shard`
 //! sweeps 1→8 NICs at burst 1/8/32 and emits `BENCH_shard.json`).
 //! Aggregate throughput scales ≥ 3× from one to four NICs at burst 32;
 //! a single NIC is the degenerate case and reproduces PR 1's burst
@@ -95,7 +95,7 @@
 //! [`UpcallMode::Sync`] (the default) stays cycle-exact with the PR 2
 //! path; [`measure::upcall_latency`] reports p50/p99
 //! cycles-to-completion so the latency cost of deferral stays visible
-//! (`cargo bench -p twin-bench --bench upcall_sweep` emits
+//! (`cargo bench -p twin-bench --bench eval -- upcall` emits
 //! `BENCH_upcall.json`).
 //!
 //! ## The virtual-time engine
@@ -115,7 +115,7 @@
 //! complete in bounded time (serviced flush-before-IRQ against the
 //! moderation timer). [`System::measure_rx_moderated`] paces arrivals
 //! on the virtual clock and reports the latency/throughput trade-off
-//! (`cargo bench -p twin-bench --bench moderation_sweep` emits
+//! (`cargo bench -p twin-bench --bench eval -- moderation` emits
 //! `BENCH_itr.json`): at burst 32 on 4 NICs, moderation cuts
 //! interrupts/packet ≥ 4× within 2× of the unmoderated p99, and
 //! ITR 0 with no deadline stays cycle-exact with the PR 3 path.
@@ -131,7 +131,7 @@
 //! println!("transmit: {:.0} Mb/s at {:.0}% CPU", t.mbps, t.cpu_util * 100.0);
 //! // Amortized cost at burst 32 (one doorbell/interrupt per burst):
 //! let b = sys.measure_tx_burst(32, 256)?;
-//! println!("{}", b.row());
+//! println!("burst 32: {:.0} cycles/packet", b.breakdown.total());
 //! # Ok(())
 //! # }
 //! ```
@@ -145,8 +145,8 @@ pub use measure::{
     balanced_flow_set, fault_injected_source, measure_aggregate_throughput, measure_fault_recovery,
     measure_rx_affinity, measure_rx_autotuned, measure_rx_livelock, percentile, throughput,
     upcall_latency, AffinityPoint, AggregateThroughput, AutotunedRx, Breakdown, BurstMeasurement,
-    FaultClass, FaultPoint, LatencyStats, LivelockPoint, LoadProfile, ModeratedRx, OverloadProfile,
-    RxPhase, SampleReservoir, Throughput, CPU_HZ, TESTBED_NICS, VICTIM_FRAMES_PER_BURST,
+    FaultClass, FaultPoint, LatencyStats, LivelockPoint, LoadProfile, OverloadProfile, PacedRx,
+    SampleReservoir, Throughput, CPU_HZ, TESTBED_NICS, VICTIM_FRAMES_PER_BURST,
 };
 pub use system::{
     peer_mac, Config, RecoveryReport, SchedOptions, ShardPolicy, System, SystemError,

@@ -78,19 +78,6 @@ pub struct BurstMeasurement {
     pub doorbells_per_packet: f64,
 }
 
-impl BurstMeasurement {
-    /// One sweep-table row.
-    pub fn row(&self) -> String {
-        format!(
-            "burst {:>4}  cycles/pkt {:>8.0}   irqs/pkt {:>6.3}   doorbells/pkt {:>6.3}",
-            self.burst,
-            self.breakdown.total(),
-            self.irqs_per_packet,
-            self.doorbells_per_packet,
-        )
-    }
-}
-
 /// Latency percentiles over a set of cycles-to-completion samples —
 /// the groundwork adaptive interrupt moderation needs, and the metric
 /// that keeps upcall deferral honest: throughput may rise only while the
@@ -217,34 +204,22 @@ impl AggregateThroughput {
     pub fn aggregate_mbps(&self) -> f64 {
         self.tx.mbps + self.rx.mbps
     }
-
-    /// One sweep-table row.
-    pub fn row(&self) -> String {
-        format!(
-            "nics {:>2}  burst {:>4}  tx {:>6.0} Mb/s ({:>6.0} cyc/pkt)  rx {:>6.0} Mb/s ({:>6.0} cyc/pkt)  aggregate {:>7.0} Mb/s",
-            self.nics,
-            self.burst,
-            self.tx.mbps,
-            self.tx_cycles_per_packet,
-            self.rx.mbps,
-            self.rx_cycles_per_packet,
-            self.aggregate_mbps(),
-        )
-    }
 }
 
-/// One point of the interrupt-moderation sweep: amortized receive cost,
-/// interrupt rate and arrival-to-delivery latency percentiles at a fixed
-/// `ITR` setting under a paced arrival process (see
-/// [`System::measure_rx_moderated`]).
+/// One paced receive point: amortized receive cost, interrupt rate and
+/// arrival-to-delivery latency percentiles of the frames measured under
+/// a paced arrival process — one point of the moderation sweep
+/// ([`System::measure_rx_moderated`]) or one phase of an autotune run
+/// ([`measure_rx_autotuned`]).
 #[derive(Clone, Debug)]
-pub struct ModeratedRx {
+pub struct PacedRx {
     /// NICs driven concurrently.
     pub nics: u32,
     /// Frames per scheduled arrival burst.
     pub burst: usize,
-    /// `ITR` register setting ([`twin_nic::ITR_UNIT_CYCLES`]-cycle
-    /// units; 0 = unmoderated).
+    /// Widest per-device `ITR` at the end of the window
+    /// ([`twin_nic::ITR_UNIT_CYCLES`]-cycle units; 0 = unmoderated):
+    /// the static setting, or where a tuner sits when the window closes.
     pub itr: u32,
     /// Scheduled inter-burst gap in virtual cycles (the offered load).
     pub gap_cycles: u64,
@@ -262,27 +237,16 @@ pub struct ModeratedRx {
     /// Arrival-to-delivery latency percentiles — the side moderation
     /// spends.
     pub latency: LatencyStats,
+    /// `ITR` retunes the auto-tuner performed in the window (0 for
+    /// static runs).
+    pub retunes: u64,
 }
 
-impl ModeratedRx {
+impl PacedRx {
     /// Receive throughput implied by the amortized per-packet cost over
     /// this system's links.
     pub fn throughput(&self) -> Throughput {
         throughput(self.breakdown.total(), self.nics)
-    }
-
-    /// One sweep-table row.
-    pub fn row(&self) -> String {
-        format!(
-            "nics {:>2}  burst {:>4}  itr {:>6}  cyc/pkt {:>7.0}  irqs/pkt {:>6.3}  p50 {:>9}  p99 {:>9}",
-            self.nics,
-            self.burst,
-            self.itr,
-            self.breakdown.total(),
-            self.irqs_per_packet,
-            self.latency.p50,
-            self.latency.p99,
-        )
     }
 }
 
@@ -327,47 +291,6 @@ impl std::fmt::Display for LoadProfile {
     }
 }
 
-/// One measured phase of a multi-phase paced receive run: steady-state
-/// cost, interrupt rate and arrival-to-delivery latency at that phase's
-/// offered load (each phase leads with an unmeasured settle span so a
-/// retuning system is compared in steady state, like every other
-/// harness's warm-up).
-#[derive(Clone, Debug)]
-pub struct RxPhase {
-    /// Scheduled inter-burst gap during this phase.
-    pub gap_cycles: u64,
-    /// Frames measured (after the settle span).
-    pub packets: u64,
-    /// Per-packet cycle breakdown over the measured span.
-    pub breakdown: Breakdown,
-    /// Hardware interrupts dispatched per measured packet.
-    pub irqs_per_packet: f64,
-    /// Arrival-to-delivery latency percentiles over the measured span.
-    pub latency: LatencyStats,
-    /// `ITR` retunes the auto-tuner performed in the measured span
-    /// (0 for static runs).
-    pub retunes: u64,
-    /// Widest per-device `ITR` at phase end — where the tuner (or the
-    /// static setting) sits when the phase closes.
-    pub itr_end: u32,
-}
-
-impl RxPhase {
-    /// One phase-table row.
-    pub fn row(&self) -> String {
-        format!(
-            "gap {:>8}  cyc/pkt {:>7.0}  irqs/pkt {:>6.4}  p50 {:>9}  p99 {:>9}  itr@end {:>5}  retunes {:>3}",
-            self.gap_cycles,
-            self.breakdown.total(),
-            self.irqs_per_packet,
-            self.latency.p50,
-            self.latency.p99,
-            self.itr_end,
-            self.retunes,
-        )
-    }
-}
-
 /// Result of running one system through a shifting-load profile: the
 /// per-phase points the autotune sweep compares against the per-phase
 /// best static `ITR`.
@@ -384,13 +307,14 @@ pub struct AutotunedRx {
     /// The fixed `ITR` programmed at build time (static runs; the
     /// tuner's starting point otherwise).
     pub static_itr: u32,
-    /// One entry per profile phase, in offered order.
-    pub phases: Vec<RxPhase>,
+    /// One steady-state point per profile phase, in offered order
+    /// (each phase leads with an unmeasured settle span).
+    pub phases: Vec<PacedRx>,
 }
 
 /// Runs `sys` through `profile` — paced arrival bursts whose gap shifts
 /// at each phase boundary — and reports per-phase steady-state points
-/// (see [`RxPhase`]). Works identically for a static-`ITR` system and
+/// (see [`PacedRx`]). Works identically for a static-`ITR` system and
 /// an auto-tuning one ([`crate::SystemOptions::itr_autotune`]), which is
 /// what makes the sweep's comparison apples-to-apples: same warm-up,
 /// same pacing, same settle spans, same drift accounting.
@@ -419,12 +343,7 @@ pub fn measure_rx_autotuned(
         .map(twin_nic::Nic::itr)
         .max()
         .unwrap_or(0);
-    // Per-NIC steady state needs a full ring cycle of buffer swaps —
-    // the same warm-up as the moderated harness.
-    for _ in 0..160 * sys.nic_count() {
-        sys.receive_one()?;
-    }
-    sys.drain_moderated()?;
+    warm_rx(sys)?;
     let mut phases = Vec::new();
     for gap in profile.gaps(heavy_gap_cycles) {
         phases.push(sys.paced_rx_phase(burst, settle_packets, packets_per_phase, gap)?);
@@ -437,6 +356,109 @@ pub fn measure_rx_autotuned(
         static_itr,
         phases,
     })
+}
+
+/// Closed-loop receive warm-up shared by the paced and open-loop
+/// harnesses: 160 frames per NIC complete every ring's buffer-swap
+/// cycle, then every delivery a moderation window holds back drains.
+///
+/// # Errors
+///
+/// Propagates faults.
+pub fn warm_rx(sys: &mut System) -> Result<(), SystemError> {
+    for _ in 0..160 * sys.nic_count() {
+        sys.receive_one()?;
+    }
+    sys.drain_moderated()
+}
+
+/// Drives one **open-loop** arrival schedule: resets the measurement
+/// window, then lands `bursts` bursts from `next_burst` `gap_cycles`
+/// apart, each preceded by exactly the service up to its arrival
+/// instant, and closes with one final gap of service. Returns the
+/// frames offered.
+///
+/// # Errors
+///
+/// Propagates faults; arrival overruns are data, not errors.
+pub fn open_loop(
+    sys: &mut System,
+    bursts: u64,
+    gap_cycles: u64,
+    mut next_burst: impl FnMut() -> Vec<Frame>,
+) -> Result<u64, SystemError> {
+    sys.reset_measurement();
+    let t0 = sys.now_cycles();
+    let mut offered = 0u64;
+    for i in 0..bursts {
+        let arrival = t0 + i * gap_cycles;
+        sys.rx_open_loop_service(arrival)?;
+        let frames = next_burst();
+        offered += frames.len() as u64;
+        sys.rx_open_loop_arrival(&frames, arrival)?;
+    }
+    sys.rx_open_loop_service(t0 + bursts * gap_cycles)?;
+    Ok(offered)
+}
+
+/// Receive-side counters an open-loop harness snapshots around its
+/// window: frames delivered into a set of guests, and the three places
+/// a frame can die (admission watermark, demux queue cap, full ring).
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct RxCounters {
+    /// Frames delivered into the guests the snapshot names.
+    pub delivered: u64,
+    /// Frames shed at the admission watermark.
+    pub early_drops: u64,
+    /// Frames dropped at a demux queue cap.
+    pub queue_drops: u64,
+    /// Frames dropped for want of a free RX descriptor.
+    pub ring_drops: u64,
+}
+
+impl RxCounters {
+    /// The totals now, with `delivered` summed over `guests`.
+    pub fn take(sys: &System, guests: &[DomId]) -> RxCounters {
+        RxCounters {
+            delivered: guests.iter().map(|&g| sys.delivered_rx_for(g) as u64).sum(),
+            early_drops: sys.rx_early_drops(),
+            queue_drops: sys.rx_queue_drops(),
+            ring_drops: sys.rx_ring_drops(),
+        }
+    }
+
+    /// What accrued since this snapshot (same `guests`).
+    pub fn delta(&self, sys: &System, guests: &[DomId]) -> RxCounters {
+        let now = RxCounters::take(sys, guests);
+        RxCounters {
+            delivered: now.delivered - self.delivered,
+            early_drops: now.early_drops - self.early_drops,
+            queue_drops: now.queue_drops - self.queue_drops,
+            ring_drops: now.ring_drops - self.ring_drops,
+        }
+    }
+}
+
+/// Worst p99 arrival-to-delivery latency across `guests` (0 when none
+/// tracked a sample).
+pub fn worst_p99(sys: &System, guests: &[DomId]) -> u64 {
+    guests
+        .iter()
+        .map(|&g| LatencyStats::from_samples(sys.guest_rx_latency(g)).p99)
+        .max()
+        .unwrap_or(0)
+}
+
+/// An MTU-sized IPv4 frame from the harnesses' off-box peer.
+pub fn wire_frame(dst: MacAddr, flow: u32, seq: u64) -> Frame {
+    Frame {
+        dst,
+        src: MacAddr([0x02, 0, 0, 0, 0, 0xee]),
+        ethertype: EtherType::Ipv4,
+        payload_len: MTU,
+        flow,
+        seq,
+    }
 }
 
 /// An adversarial offered-load shape for the receive-livelock harness.
@@ -525,23 +547,6 @@ impl LivelockPoint {
     pub fn offered(&self) -> f64 {
         f64::from(self.offered_x10) / 10.0
     }
-
-    /// One sweep-table row.
-    pub fn row(&self) -> String {
-        format!(
-            "{:>15}  offered {:>5.1}x  goodput {:>7.0} Mb/s  cyc/pkt {:>8.0}  early {:>6}  queue {:>6}  ring {:>6}  irqs {:>6}  polls {:>5}  victim p99 {:>9}",
-            self.profile.label(),
-            self.offered(),
-            self.goodput_mbps,
-            self.rx_cycles_per_packet,
-            self.early_drops,
-            self.queue_drops,
-            self.ring_drops,
-            self.irqs,
-            self.polls,
-            self.victim_p99,
-        )
-    }
 }
 
 /// Builds one arrival burst for `profile` at `offered_x10` tenths of
@@ -561,14 +566,7 @@ fn overload_burst(
     let flood_frames = total.saturating_sub(victim_total);
     let mut out = Vec::with_capacity(victim_total + flood_frames);
     let mut push = |dst: MacAddr, flow: u32, seq: &mut u64| {
-        out.push(Frame {
-            dst,
-            src: MacAddr([0x02, 0, 0, 0, 0, 0xee]),
-            ethertype: EtherType::Ipv4,
-            payload_len: MTU,
-            flow,
-            seq: *seq,
-        });
+        out.push(wire_frame(dst, flow, *seq));
         *seq += 1;
     };
     // Victims first in the burst: under overload the tail of a burst is
@@ -640,61 +638,27 @@ pub fn measure_rx_livelock(
         }
         (flood.expect("primary guest present"), victims)
     };
+    let victim_ids: Vec<DomId> = victims.iter().map(|v| v.0).collect();
+    let all_ids: Vec<DomId> = std::iter::once(flood.0).chain(victim_ids.clone()).collect();
     sys.track_guest_latency();
-    // Closed-loop warm-up: fill every ring's buffer-swap cycle.
-    for _ in 0..160 * sys.nic_count() {
-        sys.receive_one()?;
-    }
-    sys.drain_moderated()?;
-    let delivered_before: u64 = std::iter::once(flood.0)
-        .chain(victims.iter().map(|v| v.0))
-        .map(|g| sys.delivered_rx_for(g) as u64)
-        .sum();
-    let victim_delivered_before: u64 = victims
-        .iter()
-        .map(|v| sys.delivered_rx_for(v.0) as u64)
-        .sum();
-    let early_before = sys.rx_early_drops();
-    let queue_before = sys.rx_queue_drops();
-    let ring_before = sys.rx_ring_drops();
-    sys.reset_measurement();
-    let mut seq = 1_000_000u64; // clear of every closed-loop generator
-    let t0 = sys.now_cycles();
-    let mut offered = 0u64;
-    for i in 0..bursts {
-        let arrival = t0 + i * gap_cycles;
-        // The consumer gets exactly the gap before this arrival.
-        sys.rx_open_loop_service(arrival)?;
-        let frames = overload_burst(profile, offered_x10, burst_base, flood, &victims, &mut seq);
-        offered += frames.len() as u64;
-        sys.rx_open_loop_arrival(&frames, arrival)?;
-    }
+    warm_rx(sys)?;
+    let before = RxCounters::take(sys, &all_ids);
+    let victims_before = RxCounters::take(sys, &victim_ids);
+    // Sequence numbers clear of every closed-loop generator.
+    let mut seq = 1_000_000u64;
     // The last burst gets exactly one gap of service, then the window
     // closes. Backlog still queued (or stranded in a masked ring) at
     // window close is NOT goodput — an open-loop source never stops, so
     // frames the consumer couldn't deliver inside the schedule are lost
     // throughput, not work in flight. Counting a tail drain would let a
     // livelocked system launder its backlog into goodput.
-    let end_sched = t0 + bursts * gap_cycles;
-    sys.rx_open_loop_service(end_sched)?;
-    let delivered: u64 = std::iter::once(flood.0)
-        .chain(victims.iter().map(|v| v.0))
-        .map(|g| sys.delivered_rx_for(g) as u64)
-        .sum::<u64>()
-        - delivered_before;
-    let victim_delivered: u64 = victims
-        .iter()
-        .map(|v| sys.delivered_rx_for(v.0) as u64)
-        .sum::<u64>()
-        - victim_delivered_before;
+    let offered = open_loop(sys, bursts, gap_cycles, || {
+        overload_burst(profile, offered_x10, burst_base, flood, &victims, &mut seq)
+    })?;
+    let d = before.delta(sys, &all_ids);
     let span = bursts * gap_cycles;
-    let goodput_mbps = delivered as f64 * wire_bits(MTU) as f64 / (span as f64 / CPU_HZ) / 1e6;
-    let breakdown = Breakdown::from_meter(&sys.machine.meter, delivered.max(1));
-    let victim_p99 = victims
-        .iter()
-        .map(|v| LatencyStats::from_samples(sys.guest_rx_latency(v.0)).p99)
-        .max()
-        .unwrap_or(0);
+    let goodput_mbps = d.delivered as f64 * wire_bits(MTU) as f64 / (span as f64 / CPU_HZ) / 1e6;
+    let breakdown = Breakdown::from_meter(&sys.machine.meter, d.delivered.max(1));
     // Flight-recorder export: a no-op unless TWIN_TRACE_OUT names a
     // directory (and empty unless the system was built with tracing).
     sys.export_trace(&format!("livelock_{}_{offered_x10}", profile.label()));
@@ -704,16 +668,16 @@ pub fn measure_rx_livelock(
         profile,
         offered_x10,
         frames_offered: offered,
-        frames_delivered: delivered,
+        frames_delivered: d.delivered,
         goodput_mbps,
         rx_cycles_per_packet: breakdown.total(),
-        early_drops: sys.rx_early_drops() - early_before,
-        queue_drops: sys.rx_queue_drops() - queue_before,
-        ring_drops: sys.rx_ring_drops() - ring_before,
+        early_drops: d.early_drops,
+        queue_drops: d.queue_drops,
+        ring_drops: d.ring_drops,
         irqs: breakdown.events.get("irq").copied().unwrap_or(0),
         polls: breakdown.events.get("napi_poll").copied().unwrap_or(0),
-        victim_delivered,
-        victim_p99,
+        victim_delivered: victims_before.delta(sys, &victim_ids).delivered,
+        victim_p99: worst_p99(sys, &victim_ids),
     })
 }
 
@@ -761,27 +725,6 @@ pub struct AffinityPoint {
     /// Worst p99 arrival-to-delivery latency across the scheduled
     /// guests, in cycles (includes sleep deferral by construction).
     pub victim_p99: u64,
-}
-
-impl AffinityPoint {
-    /// One sweep-table row.
-    pub fn row(&self) -> String {
-        format!(
-            "{:>9}  duty {:>3}%  cyc/pkt {:>8.0}  cold {:>6}  placements {:>4}  migrations {:>4}  wakes {:>5}  drops {:>2}/{:>2}/{:>2}  reorders {:>2}  p99 {:>9}",
-            self.policy,
-            self.duty_pct,
-            self.rx_cycles_per_packet,
-            self.cold_deliveries,
-            self.placements,
-            self.migrations,
-            self.wakes,
-            self.early_drops,
-            self.queue_drops,
-            self.ring_drops,
-            self.reorders,
-            self.victim_p99,
-        )
-    }
 }
 
 /// Counts per-(guest, flow) sequence inversions in every guest's
@@ -838,49 +781,25 @@ pub fn measure_rx_affinity(
     // Closed-loop warm-up before any vCPU exists: every ring completes
     // its buffer-swap cycle with all guests running, identically for
     // every policy/duty combination.
-    for _ in 0..160 * sys.nic_count() {
-        sys.receive_one()?;
-    }
-    sys.drain_moderated()?;
+    warm_rx(sys)?;
     for &(gid, cpu, run, sleep) in vcpus {
         sys.sched_add_vcpu(gid, cpu, run, sleep)?;
     }
     sys.track_guest_latency();
     let placements_before = sys.metrics().counter("sched.placements");
     let migrations_before = sys.metrics().counter("sched.migrations");
-    let delivered_before: u64 = traffic
-        .iter()
-        .map(|t| sys.delivered_rx_for(t.0) as u64)
-        .sum();
-    let early_before = sys.rx_early_drops();
-    let queue_before = sys.rx_queue_drops();
-    let ring_before = sys.rx_ring_drops();
-    sys.reset_measurement();
+    let guests: Vec<DomId> = traffic.iter().map(|t| t.0).collect();
+    let before = RxCounters::take(sys, &guests);
     let mut seq = 1_000_000u64; // clear of every closed-loop generator
-    let t0 = sys.now_cycles();
-    let mut offered = 0u64;
-    for i in 0..bursts {
-        let arrival = t0 + i * gap_cycles;
-        sys.rx_open_loop_service(arrival)?;
-        let frames: Vec<Frame> = (0..burst)
+    let offered = open_loop(sys, bursts, gap_cycles, || {
+        (0..burst)
             .map(|j| {
                 let (_, mac, flow) = traffic[j % traffic.len()];
-                let f = Frame {
-                    dst: mac,
-                    src: MacAddr([0x02, 0, 0, 0, 0, 0xee]),
-                    ethertype: EtherType::Ipv4,
-                    payload_len: MTU,
-                    flow,
-                    seq,
-                };
                 seq += 1;
-                f
+                wire_frame(mac, flow, seq - 1)
             })
-            .collect();
-        offered += frames.len() as u64;
-        sys.rx_open_loop_arrival(&frames, arrival)?;
-    }
-    sys.rx_open_loop_service(t0 + bursts * gap_cycles)?;
+            .collect()
+    })?;
     // Drain the deferred backlog: sleeping guests' frames deliver at
     // their wakeup edges. Unlike the livelock sweep this tail counts —
     // the question is delivery cost, not overload goodput, and both
@@ -899,17 +818,8 @@ pub fn measure_rx_affinity(
             return Err(SystemError::Build("affinity drain did not converge".into()));
         }
     }
-    let delivered: u64 = traffic
-        .iter()
-        .map(|t| sys.delivered_rx_for(t.0) as u64)
-        .sum::<u64>()
-        - delivered_before;
-    let breakdown = Breakdown::from_meter(&sys.machine.meter, delivered.max(1));
-    let victim_p99 = traffic
-        .iter()
-        .map(|t| LatencyStats::from_samples(sys.guest_rx_latency(t.0)).p99)
-        .max()
-        .unwrap_or(0);
+    let d = before.delta(sys, &guests);
+    let breakdown = Breakdown::from_meter(&sys.machine.meter, d.delivered.max(1));
     let ms = sys.metrics();
     sys.export_trace(&format!("affinity_{policy}_{duty_pct}"));
     Ok(AffinityPoint {
@@ -918,17 +828,17 @@ pub fn measure_rx_affinity(
         policy,
         duty_pct,
         frames_offered: offered,
-        frames_delivered: delivered,
+        frames_delivered: d.delivered,
         rx_cycles_per_packet: breakdown.total(),
         cold_deliveries: breakdown.events.get("cold_delivery").copied().unwrap_or(0),
         placements: ms.counter("sched.placements") - placements_before,
         migrations: ms.counter("sched.migrations") - migrations_before,
         wakes: breakdown.events.get("vcpu_run").copied().unwrap_or(0),
-        early_drops: sys.rx_early_drops() - early_before,
-        queue_drops: sys.rx_queue_drops() - queue_before,
-        ring_drops: sys.rx_ring_drops() - ring_before,
+        early_drops: d.early_drops,
+        queue_drops: d.queue_drops,
+        ring_drops: d.ring_drops,
         reorders: rx_reorders(sys),
-        victim_p99,
+        victim_p99: worst_p99(sys, &guests),
     })
 }
 
@@ -1187,24 +1097,6 @@ impl FaultPoint {
     pub fn sibling_frac(&self) -> f64 {
         self.sibling_delivered as f64 / self.sibling_control.max(1) as f64
     }
-
-    /// One sweep-table row.
-    pub fn row(&self) -> String {
-        format!(
-            "{:>13}  episodes {:>2}  recovery {:>9} cyc   dev{} {:>4}->{:<4} ({:>5.1}%)   siblings {:>6.1}%   replayed {:>3}  dropped {:>3}  lost {:>3}",
-            self.class.label(),
-            self.episodes,
-            self.recovery_cycles,
-            self.dev,
-            self.pre_delivered,
-            self.post_delivered,
-            self.recovery_frac() * 100.0,
-            self.sibling_frac() * 100.0,
-            self.replayed,
-            self.dropped,
-            self.lost_frames,
-        )
-    }
 }
 
 /// A flow set that [`ShardPolicy::FlowHash`] provably balances across
@@ -1242,6 +1134,41 @@ fn flow_for_dev(dev: u32, nics: u32, salt: u32) -> u32 {
         .expect("some flow hashes to every device")
 }
 
+/// `burst` frames for device `dev`'s closed-loop fault schedule, on a
+/// flow that hashes to it, numbered from its own sequence space.
+fn fault_frames(dev: u32, nics: u32, burst: usize, seqs: &mut [u64]) -> Vec<Frame> {
+    let flow = flow_for_dev(dev, nics, 0);
+    (0..burst)
+        .map(|_| {
+            seqs[dev as usize] += 1;
+            Frame {
+                src: MacAddr([0x02, 0, 0, 0, 0, 0xfa]),
+                ..wire_frame(MacAddr::for_guest(1), flow, seqs[dev as usize] - 1)
+            }
+        })
+        .collect()
+}
+
+/// Offers both systems the identical closed-loop schedule: `rounds`
+/// rounds of one `burst` per device.
+fn paired_rounds(
+    sys: &mut System,
+    control: &mut System,
+    rounds: u64,
+    burst: usize,
+    seqs: &mut [u64],
+) -> Result<(), SystemError> {
+    let nics = sys.nic_count() as u32;
+    for _ in 0..rounds {
+        for d in 0..nics {
+            let frames = fault_frames(d, nics, burst, seqs);
+            sys.receive_burst(&frames)?;
+            control.receive_burst(&frames)?;
+        }
+    }
+    Ok(())
+}
+
 /// Measures one fault-recovery episode set: identical closed-loop
 /// per-device receive schedules run on `sys` (fault class armed
 /// `episodes` times against device `dev`) and `control` (same sabotaged
@@ -1272,41 +1199,11 @@ pub fn measure_fault_recovery(
 ) -> Result<FaultPoint, SystemError> {
     let nics = sys.nic_count() as u32;
     let mut seqs: Vec<u64> = vec![0; nics as usize];
-    let frames_for = |d: u32, burst: usize, seqs: &mut Vec<u64>| -> Vec<Frame> {
-        let flow = flow_for_dev(d, nics, 0);
-        (0..burst)
-            .map(|_| {
-                let seq = seqs[d as usize];
-                seqs[d as usize] += 1;
-                Frame {
-                    dst: MacAddr::for_guest(1),
-                    src: MacAddr([0x02, 0, 0, 0, 0, 0xfa]),
-                    ethertype: EtherType::Ipv4,
-                    payload_len: MTU,
-                    flow,
-                    seq,
-                }
-            })
-            .collect()
-    };
     // Closed-loop warm-up: fill every ring's buffer-swap cycle on both
     // systems so the measured windows see steady state.
-    for _ in 0..4 {
-        for d in 0..nics {
-            let frames = frames_for(d, burst, &mut seqs);
-            sys.receive_burst(&frames)?;
-            control.receive_burst(&frames)?;
-        }
-    }
-
+    paired_rounds(sys, control, 4, burst, &mut seqs)?;
     let m0f = sys.metrics();
-    for _ in 0..rounds {
-        for d in 0..nics {
-            let frames = frames_for(d, burst, &mut seqs);
-            sys.receive_burst(&frames)?;
-            control.receive_burst(&frames)?;
-        }
-    }
+    paired_rounds(sys, control, rounds, burst, &mut seqs)?;
     let (m1f, m1c) = (sys.metrics(), control.metrics());
 
     // Fault episodes: arm, run one round (the target burst dies inside
@@ -1318,7 +1215,7 @@ pub fn measure_fault_recovery(
     for _ in 0..episodes {
         for round in 0..2 {
             for d in 0..nics {
-                let frames = frames_for(d, burst, &mut seqs);
+                let frames = fault_frames(d, nics, burst, &mut seqs);
                 control.receive_burst(&frames)?;
                 if round == 0 && d == dev {
                     // Device-conditional arming: the one-shot payload
@@ -1348,13 +1245,7 @@ pub fn measure_fault_recovery(
         )));
     }
 
-    for _ in 0..rounds {
-        for d in 0..nics {
-            let frames = frames_for(d, burst, &mut seqs);
-            sys.receive_burst(&frames)?;
-            control.receive_burst(&frames)?;
-        }
-    }
+    paired_rounds(sys, control, rounds, burst, &mut seqs)?;
     let (m3f, m3c) = (sys.metrics(), control.metrics());
 
     let rx = |d: &twin_trace::MetricSet, i: u32| d.counter(&format!("nic{i}.rx_packets"));

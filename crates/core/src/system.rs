@@ -4314,22 +4314,25 @@ impl System {
         burst: usize,
         packets: u64,
         gap_cycles: u64,
-    ) -> Result<crate::measure::ModeratedRx, SystemError> {
+    ) -> Result<crate::measure::PacedRx, SystemError> {
         let burst = burst.clamp(1, MAX_BURST);
-        // Per-NIC steady state needs a full ring cycle of buffer swaps.
-        for _ in 0..160 * self.world.nics.len() {
-            self.receive_one()?;
-        }
-        self.drain_moderated()?;
+        crate::measure::warm_rx(self)?;
         self.reset_measurement();
-        let injected = self.paced_rx_run(burst, packets, gap_cycles)?;
+        let injected = self.paced_rx_inject(burst, packets, gap_cycles, false)?;
+        self.drain_moderated()?;
+        Ok(self.paced_point(burst, gap_cycles, injected))
+    }
+
+    /// The paced-receive point the meter holds now: `packets` frames
+    /// measured in bursts of `burst` scheduled `gap_cycles` apart. The
+    /// point is labeled by the widest per-device `ITR` (the device that
+    /// dominates the latency tail; where a tuner sits when the window
+    /// closes).
+    fn paced_point(&self, burst: usize, gap_cycles: u64, packets: u64) -> crate::measure::PacedRx {
         let meter = &self.machine.meter;
-        Ok(crate::measure::ModeratedRx {
+        crate::measure::PacedRx {
             nics: self.world.nics.len() as u32,
             burst,
-            // The sweep programs a uniform ITR; with heterogeneous
-            // per-device values the point is labeled by the widest
-            // window (the device that dominates the latency tail).
             itr: self
                 .world
                 .nics
@@ -4338,33 +4341,17 @@ impl System {
                 .max()
                 .unwrap_or(0),
             gap_cycles,
-            packets: injected,
-            breakdown: Breakdown::from_meter(meter, injected),
-            irqs_per_packet: meter.event("irq") as f64 / injected.max(1) as f64,
+            packets,
+            breakdown: Breakdown::from_meter(meter, packets),
+            irqs_per_packet: meter.event("irq") as f64 / packets.max(1) as f64,
             moderated_irqs: meter.event("irq_moderated"),
             latency: crate::measure::LatencyStats::from_samples(self.rx_latency.samples()),
-        })
+            retunes: meter.event("itr_retune"),
+        }
     }
 
-    /// Paced injection of `packets` frames in bursts of `burst`,
-    /// scheduled `gap_cycles` apart starting now, each stamped with its
-    /// scheduled wire-arrival time; ends by draining every moderated
-    /// window so all injected frames complete. The inner loop of
-    /// [`System::measure_rx_moderated`] and of each autotune-harness
-    /// phase.
-    fn paced_rx_run(
-        &mut self,
-        burst: usize,
-        packets: u64,
-        gap_cycles: u64,
-    ) -> Result<u64, SystemError> {
-        let injected = self.paced_rx_inject(burst, packets, gap_cycles, false)?;
-        self.drain_moderated()?;
-        Ok(injected)
-    }
-
-    /// The bare paced-injection loop of [`System::paced_rx_run`], with
-    /// no closing drain — the phase harness separates injection from
+    /// The paced-injection loop of [`System::measure_rx_moderated`] and
+    /// of each autotune-harness phase, with no closing drain — the phase harness separates injection from
     /// draining so a phase's settle span flows straight into its
     /// measured span. `balanced_flows` swaps the classic generator's
     /// flow ids for the device-balanced set
@@ -4434,28 +4421,13 @@ impl System {
         settle_packets: u64,
         packets: u64,
         gap_cycles: u64,
-    ) -> Result<crate::measure::RxPhase, SystemError> {
+    ) -> Result<crate::measure::PacedRx, SystemError> {
         let burst = burst.clamp(1, MAX_BURST);
         self.paced_rx_inject(burst, settle_packets, gap_cycles, true)?;
         self.drain_moderated_tight()?;
         self.reset_measurement();
         let measured = self.paced_rx_inject(burst, packets, gap_cycles, true)?;
         self.drain_moderated_tight()?;
-        let meter = &self.machine.meter;
-        Ok(crate::measure::RxPhase {
-            gap_cycles,
-            packets: measured,
-            breakdown: crate::measure::Breakdown::from_meter(meter, measured),
-            irqs_per_packet: meter.event("irq") as f64 / measured.max(1) as f64,
-            latency: crate::measure::LatencyStats::from_samples(self.rx_latency.samples()),
-            retunes: meter.event("itr_retune"),
-            itr_end: self
-                .world
-                .nics
-                .iter()
-                .map(twin_nic::Nic::itr)
-                .max()
-                .unwrap_or(0),
-        })
+        Ok(self.paced_point(burst, gap_cycles, measured))
     }
 }

@@ -166,11 +166,11 @@ fn autotune_tracks_the_step_profile_regimes() {
     assert_eq!(r.phases.len(), 2);
     let (light, heavy) = (&r.phases[0], &r.phases[1]);
     assert!(
-        light.itr_end <= 500,
+        light.itr <= 500,
         "light phase sits on a non-gating rung (itr {})",
-        light.itr_end
+        light.itr
     );
-    assert_eq!(heavy.itr_end, 2000, "heavy phase converged to bulk");
+    assert_eq!(heavy.itr, 2000, "heavy phase converged to bulk");
     let reduction = light.irqs_per_packet / heavy.irqs_per_packet.max(1e-9);
     assert!(
         reduction >= 4.0,

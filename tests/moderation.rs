@@ -152,7 +152,7 @@ fn moderation_acceptance_point_at_burst32_on_four_nics() {
     // The headline trade-off: some ITR > 0 cuts interrupts/packet at
     // least 4x against ITR 0 while p99 arrival-to-delivery latency stays
     // within 2x — under the same paced arrival process the
-    // moderation_sweep bench uses.
+    // moderation sweep uses.
     let measure = |itr: u32| {
         let opts = SystemOptions {
             num_nics: 4,
