@@ -22,6 +22,17 @@
 //! Xen dom0, baseline Xen guest, TwinDrivers guest) and [`measure`]
 //! converts per-packet cycle breakdowns into the paper's figures.
 //!
+//! [`System::build_with`] chooses the configuration's backend once —
+//! the dom0 stack driving its own instance, a guest bridged through
+//! netfront/netback, or a guest calling the hypervisor instance
+//! ([`System::hyperdrv`]) — and refuses options that backend cannot
+//! honour with [`SystemError::Build`]. Each driver instance's entry
+//! points are resolved when it loads, like the paper's per-instance
+//! symbol resolution (§5.2): a driver missing one is a build error
+//! naming the symbol, not a panic on first use. Every driver call then
+//! goes through one path that picks the classic or `_dev` entry by NIC
+//! count and charges the driver domain.
+//!
 //! ## The burst datapath
 //!
 //! On top of the paper's per-packet pipeline, the datapath is

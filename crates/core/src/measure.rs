@@ -760,7 +760,7 @@ fn rx_reorders(sys: &System) -> u64 {
 /// delivered packet is an apples-to-apples comparison and sleep
 /// deferral shows up in latency, not in lost goodput.
 ///
-/// The system must be built with [`SystemOptions::sched`] when `vcpus`
+/// The system must be built with [`crate::SystemOptions::sched`] when `vcpus`
 /// is non-empty. `policy` and `duty_pct` are reporting labels.
 ///
 /// # Errors
@@ -1001,7 +1001,7 @@ const FAULT_SITES: [&str; 5] = [
 
 /// Builds a driver source with a **device-conditional, one-shot**
 /// fault of the given class injected into every hot-path entry
-/// ([`FAULT_SITES`]): each invocation loads the `fault_arm` data word,
+/// (`FAULT_SITES`): each invocation loads the `fault_arm` data word,
 /// skips ahead when it is zero or names a different device (the word
 /// holds faulted-device-index + 1, compared against the active
 /// `cur_adapter` slot), and otherwise disarms it (the store persists
@@ -1099,7 +1099,7 @@ impl FaultPoint {
     }
 }
 
-/// A flow set that [`ShardPolicy::FlowHash`] provably balances across
+/// A flow set that [`crate::ShardPolicy::FlowHash`] provably balances across
 /// `num_nics` devices: exactly `flows_per_nic` flows hash to each
 /// device, found by scanning ids upward from
 /// [`System::BALANCED_FLOW_BASE`] and keeping a flow only while its
@@ -1174,7 +1174,7 @@ fn paired_rounds(
 /// `episodes` times against device `dev`) and `control` (same sabotaged
 /// source, never armed — see [`fault_injected_source`] for why the
 /// control cannot be the stock driver). Both systems must be built with
-/// [`ShardPolicy::FlowHash`] and `sys` with `fault_recovery: true`.
+/// [`crate::ShardPolicy::FlowHash`] and `sys` with `fault_recovery: true`.
 ///
 /// Schedule: warm-up, a `rounds`-round pre-fault window, `episodes` ×
 /// (one faulted round + one recovery round), then a `rounds`-round

@@ -72,6 +72,9 @@ pub const ZC_SLOT_BYTES: u32 = 2048;
 /// churn degrades to extra map/unmap pairs, never to wrong behaviour.
 pub const ZC_CACHE_CAPACITY: usize = 4096;
 
+/// Pool slots taken per `(domain, flow)` in one zero-copy pass.
+type ZcOccupancy = BTreeMap<(u32, u32), usize>;
+
 /// MAC address of the external traffic peer (the "client machines").
 pub fn peer_mac() -> MacAddr {
     MacAddr::for_guest(1000)
@@ -430,6 +433,14 @@ pub struct World {
     pub iommu: Option<Iommu>,
 }
 
+impl World {
+    /// The hypervisor of a configuration that has one — every guest
+    /// backend does, so their paths reach it through here.
+    fn xen_mut(&mut self) -> &mut Xen {
+        self.xen.as_mut().expect("guest backends run on Xen")
+    }
+}
+
 impl Env for World {
     fn extern_call(&mut self, name: &str, m: &mut Machine, cpu: &mut Cpu) -> Result<(), Fault> {
         if cpu.mode == ExecMode::Hypervisor {
@@ -512,6 +523,101 @@ impl Env for World {
     }
 }
 
+/// A driver routine the system calls by entry point.
+#[derive(Copy, Clone, Debug)]
+enum Routine {
+    Probe,
+    Open,
+    XmitFrame,
+    XmitBatch,
+    PollRxBatch,
+    PollRxBudget,
+    Intr,
+}
+
+impl Routine {
+    const ALL: [Routine; 7] = [
+        Routine::Probe,
+        Routine::Open,
+        Routine::XmitFrame,
+        Routine::XmitBatch,
+        Routine::PollRxBatch,
+        Routine::PollRxBudget,
+        Routine::Intr,
+    ];
+
+    /// The classic entry's symbol, and the `_dev` entry's for datapath
+    /// routines: multi-NIC systems call that one with a trailing device
+    /// id selecting the adapter slot. Probe and open are configuration
+    /// calls that take the device in their own arguments.
+    fn symbols(self) -> (&'static str, Option<&'static str>) {
+        match self {
+            Routine::Probe => ("e1000_probe", None),
+            Routine::Open => ("e1000_open", None),
+            Routine::XmitFrame => ("e1000_xmit_frame", Some("e1000_xmit_frame_dev")),
+            Routine::XmitBatch => ("e1000_xmit_batch", Some("e1000_xmit_batch_dev")),
+            Routine::PollRxBatch => ("e1000_poll_rx_batch", Some("e1000_poll_rx_batch_dev")),
+            Routine::PollRxBudget => ("e1000_poll_rx_budget", Some("e1000_poll_rx_budget_dev")),
+            Routine::Intr => ("e1000_intr", Some("e1000_intr_dev")),
+        }
+    }
+}
+
+/// Entry addresses of one driver instance, resolved once when the
+/// instance loads (paper §5.2) so no call looks a symbol up by name.
+#[derive(Debug)]
+struct DriverEntries {
+    /// `[classic, _dev]` per routine, indexed by [`Routine`]; routines
+    /// without a `_dev` form repeat the classic entry.
+    routines: [[u64; 2]; Routine::ALL.len()],
+    /// The watchdog timer handler a quarantine disarms.
+    watchdog: u64,
+}
+
+impl DriverEntries {
+    /// Resolves every entry through `lookup`; a missing one is a
+    /// [`SystemError::Build`] naming the symbol.
+    fn resolve(lookup: impl Fn(&str) -> Option<u64>) -> Result<DriverEntries, SystemError> {
+        let find = |name: &str| {
+            lookup(name)
+                .ok_or_else(|| SystemError::Build(format!("driver has no `{name}` entry point")))
+        };
+        let mut routines = [[0; 2]; Routine::ALL.len()];
+        for r in Routine::ALL {
+            let (classic, dev) = r.symbols();
+            let classic = find(classic)?;
+            routines[r as usize] = [classic, dev.map_or(Ok(classic), find)?];
+        }
+        Ok(DriverEntries {
+            routines,
+            watchdog: find("e1000_watchdog")?,
+        })
+    }
+
+    fn get(&self, r: Routine, multi_nic: bool) -> u64 {
+        self.routines[r as usize][usize::from(multi_nic)]
+    }
+}
+
+/// Where the measured traffic meets the driver: chosen once at build,
+/// it carries what its paths need, so no datapath call re-derives it.
+#[derive(Debug)]
+enum Backend {
+    /// [`Config::NativeLinux`] and [`Config::XenDom0`]: the dom0 (or
+    /// native) stack drives its own driver instance.
+    Dom0 { on_xen: bool },
+    /// [`Config::XenGuest`]: guest `gid` reaches the dom0 driver through
+    /// netfront, netback and the bridge.
+    Bridged { gid: DomId },
+    /// [`Config::TwinDrivers`]: guest `gid` calls the hypervisor instance
+    /// `hyp`, whose entry points are `entries`.
+    Twin {
+        gid: DomId,
+        hyp: Box<HypervisorDriver>,
+        entries: DriverEntries,
+    },
+}
+
 /// One fully constructed, measurable system.
 #[derive(Debug)]
 pub struct System {
@@ -523,12 +629,13 @@ pub struct System {
     pub config: Config,
     /// The dom0 / native driver instance.
     pub driver: LoadedDriver,
-    /// The derived hypervisor driver (TwinDrivers only).
-    pub hyperdrv: Option<HypervisorDriver>,
+    /// Entry points of [`System::driver`].
+    entries: DriverEntries,
+    /// The configuration's datapath; holds the hypervisor driver for
+    /// TwinDrivers (see [`System::hyperdrv`]).
+    backend: Backend,
     /// Rewrite statistics (TwinDrivers only).
     pub rewrite_stats: Option<RewriteStats>,
-    /// net_device pointer of NIC 0 (the single-NIC fast path).
-    pub netdev: u64,
     /// net_device pointers, one per NIC in device order.
     pub netdevs: Vec<u64>,
     /// The measured guest (guest configurations).
@@ -574,13 +681,12 @@ pub struct System {
     /// Per-endpoint cursors into the delivered-frame logs (`u32::MAX`
     /// keys the dom0 stack, domain ids key the guests).
     rx_sample_cursors: BTreeMap<u32, usize>,
-    /// Zero-copy mode ([`SystemOptions::zero_copy`]).
-    zero_copy: bool,
     /// Pool slots per guest per flow direction
     /// ([`SystemOptions::zero_copy_pool_frames`]).
     zc_pool_frames: usize,
-    /// Live grant mappings of the zero-copy pools (`None` when the mode
-    /// is off — the copy path allocates nothing).
+    /// Live grant mappings of the zero-copy pools (`None` when
+    /// [`SystemOptions::zero_copy`] is off — the copy path allocates
+    /// nothing).
     grant_cache: Option<GrantCache>,
     /// Domains whose zero-copy pool has been granted: the build grants
     /// the primary guest; later guests opt in via
@@ -593,17 +699,14 @@ pub struct System {
     rx_flow_dev: BTreeMap<u32, u32>,
     /// NAPI poll weight ([`SystemOptions::napi_weight`]; 0 = off).
     napi_weight: usize,
-    /// Per-device poll-mode flag: `true` while the device's RX
-    /// interrupt is masked and the budgeted poll loop owns its ring.
-    /// Empty when NAPI is off — the interrupt path allocates nothing.
-    poll_mode: Vec<bool>,
-    /// Virtual-clock stamp of each device's current poll-mode entry
-    /// (`None` when interrupt-driven). Pure bookkeeping for the
-    /// poll-mode-residency metric; parallel to `poll_mode`.
+    /// Virtual-clock stamp of each device's current poll-mode entry:
+    /// `Some` while the device's RX interrupt is masked and the
+    /// budgeted poll loop owns its ring. Empty when NAPI is off — the
+    /// interrupt path allocates nothing.
     poll_entered_at: Vec<Option<u64>>,
     /// Accumulated poll-mode residency per device, in virtual cycles
     /// over completed episodes; [`System::poll_mode_cycles`] adds the
-    /// in-progress episode. Parallel to `poll_mode`.
+    /// in-progress episode. Parallel to `poll_entered_at`.
     poll_cycles: Vec<u64>,
     /// DRR weights per guest domain id (absent = weight 1).
     guest_weights: BTreeMap<u32, u32>,
@@ -841,6 +944,31 @@ impl System {
     ///
     /// See [`System::build`].
     pub fn build_with(config: Config, opts: &SystemOptions) -> Result<System, SystemError> {
+        // Options a backend cannot honour are refused here, where the
+        // backend is chosen, rather than silently dropped. NAPI polls
+        // the hypervisor driver from softirq context, quarantine needs a
+        // hypervisor driver that can fault, the scheduler model and the
+        // IOMMU guard the hypervisor's demux and DMA: all TwinDrivers.
+        let twin_only = [
+            ("napi_weight", opts.napi_weight > 0),
+            ("fault_recovery", opts.fault_recovery),
+            ("sched", opts.sched.is_some()),
+            ("iommu", opts.iommu),
+        ];
+        if let Some((name, _)) = twin_only.iter().find(|(_, on)| *on) {
+            if config != Config::TwinDrivers {
+                return Err(SystemError::Build(format!(
+                    "{name} requires the TwinDrivers configuration"
+                )));
+            }
+        }
+        // Zero-copy pools are granted by a guest.
+        if opts.zero_copy && !matches!(config, Config::XenGuest | Config::TwinDrivers) {
+            return Err(SystemError::Build(
+                "zero_copy requires a guest configuration".into(),
+            ));
+        }
+
         let source = opts.driver_source.clone().unwrap_or_else(e1000::source);
         let module = assemble("e1000", &source).map_err(|e| SystemError::Build(e.to_string()))?;
 
@@ -884,17 +1012,13 @@ impl System {
         let mut world = World {
             kernel,
             nics,
-            xen: None,
+            // Xen present for everything but native Linux.
+            xen: (config != Config::NativeLinux).then(|| Xen::new(dom0)),
             hyper: None,
             svm_vm: None,
             svm_hyp: None,
             iommu: None,
         };
-
-        // Xen present for everything but native Linux.
-        if config != Config::NativeLinux {
-            world.xen = Some(Xen::new(dom0));
-        }
 
         // The driver module: original for the baselines, rewritten for
         // TwinDrivers (the same rewritten binary serves both instances,
@@ -902,14 +1026,11 @@ impl System {
         let (drv_module, rewrite_stats) = if config == Config::TwinDrivers {
             let out =
                 rewrite(&module, &opts.rewrite).map_err(|e| SystemError::Build(e.to_string()))?;
+            world.svm_vm = Some(Svm::new_identity(&mut machine, dom0, IDENTITY_STLB_BASE)?);
             (out.module, Some(out.stats))
         } else {
             (module, None)
         };
-
-        if config == Config::TwinDrivers {
-            world.svm_vm = Some(Svm::new_identity(&mut machine, dom0, IDENTITY_STLB_BASE)?);
-        }
 
         let identity_base = world.svm_vm.as_ref().map(|s| s.placement().base);
         let driver = load_driver(
@@ -927,15 +1048,21 @@ impl System {
             },
         )
         .map_err(|e| SystemError::Build(e.to_string()))?;
+        let entries = DriverEntries::resolve(|name| driver.entry(name))?;
 
+        let napi_devs = if opts.napi_weight > 0 { num_nics } else { 0 };
         let mut sys = System {
             machine,
             world,
             config,
             driver,
-            hyperdrv: None,
+            entries,
+            // The dom0 instance initialises the devices whatever the
+            // configuration; the guest backends replace this below.
+            backend: Backend::Dom0 {
+                on_xen: config != Config::NativeLinux,
+            },
             rewrite_stats,
-            netdev: 0,
             netdevs: Vec::new(),
             guest: None,
             rx_flush_log: Vec::new(),
@@ -948,27 +1075,13 @@ impl System {
             rx_inflight: BTreeMap::new(),
             rx_latency: crate::measure::SampleReservoir::new(crate::measure::RX_LATENCY_RESERVOIR),
             rx_sample_cursors: BTreeMap::new(),
-            zero_copy: opts.zero_copy,
             zc_pool_frames: opts.zero_copy_pool_frames.clamp(1, MAX_BURST),
             grant_cache: None,
             zc_granted: std::collections::BTreeSet::new(),
             rx_flow_dev: BTreeMap::new(),
             napi_weight: opts.napi_weight,
-            poll_mode: if opts.napi_weight > 0 {
-                vec![false; num_nics]
-            } else {
-                Vec::new()
-            },
-            poll_entered_at: if opts.napi_weight > 0 {
-                vec![None; num_nics]
-            } else {
-                Vec::new()
-            },
-            poll_cycles: if opts.napi_weight > 0 {
-                vec![0; num_nics]
-            } else {
-                Vec::new()
-            },
+            poll_entered_at: vec![None; napi_devs],
+            poll_cycles: vec![0; napi_devs],
             guest_weights: opts.guest_weights.iter().copied().collect(),
             drr_deficit: BTreeMap::new(),
             rx_watermark: opts.rx_backlog_watermark,
@@ -996,17 +1109,10 @@ impl System {
         // Initialise the VM instance in dom0 (paper §3.1: "we first load
         // the VM driver into the dom0 kernel where it performs the
         // initialization of the NIC and the driver data structures").
-        // Probe selects adapter slot `dev`; open programs that device's
-        // rings — one pass per NIC.
-        for dev in 0..num_nics {
-            let probe = sys.driver.entry("e1000_probe").unwrap();
-            sys.call_dom0(probe, &[dev as u32], 50_000_000)?;
-            let netdev = sys.world.kernel.registered_netdevs[dev];
+        for dev in 0..num_nics as u32 {
+            let netdev = sys.bring_up(dev)?;
             sys.netdevs.push(netdev);
-            let open = sys.driver.entry("e1000_open").unwrap();
-            sys.call_dom0(open, &[netdev as u32], 200_000_000)?;
         }
-        sys.netdev = sys.netdevs[0];
         // Pointer array for burst transmits, in dom0 memory so both
         // driver instances can walk it.
         sys.tx_batch_buf = sys
@@ -1036,62 +1142,27 @@ impl System {
                 .collect();
             sys.gate_anchors = vec![None; num_nics];
         }
-
-        // NAPI poll mode drives the hypervisor driver from softirq
-        // context; only the TwinDrivers configuration has one.
-        if opts.napi_weight > 0 && config != Config::TwinDrivers {
-            return Err(SystemError::Build(
-                "napi_weight requires the TwinDrivers configuration".into(),
-            ));
+        if matches!(config, Config::NativeLinux | Config::XenDom0) {
+            return Ok(sys);
         }
 
-        // Quarantine + live recovery only makes sense where a
-        // hypervisor driver can fault.
-        if opts.fault_recovery && config != Config::TwinDrivers {
-            return Err(SystemError::Build(
-                "fault_recovery requires the TwinDrivers configuration".into(),
-            ));
-        }
+        // The measured guest, on the CPU between packets. Its payload
+        // page's machine address is what the TX glue chains as an
+        // sk_buff fragment (paper §5.3).
+        let gid = sys.add_guest(MacAddr::for_guest(1))?;
+        sys.guest = Some(gid);
+        sys.world.xen_mut().current = gid;
+        let gspace = sys.world.xen_mut().domain(gid).space;
+        let t = sys
+            .machine
+            .translate(gspace, ExecMode::Guest, GUEST_HEAP_BASE, false)?;
+        sys.guest_tx_frag = t.entry.pfn * PAGE_SIZE;
 
-        // The scheduler model drives guest-facing placement and service
-        // decisions; only the TwinDrivers configuration demuxes to
-        // scheduled guests.
-        if opts.sched.is_some() && config != Config::TwinDrivers {
-            return Err(SystemError::Build(
-                "sched requires the TwinDrivers configuration".into(),
-            ));
-        }
-
-        // Guest domain for the guest configurations.
-        if matches!(config, Config::XenGuest | Config::TwinDrivers) {
-            let gspace = sys.machine.new_space();
-            let gid = sys
-                .world
-                .xen
-                .as_mut()
-                .expect("xen present")
-                .add_guest(gspace, MacAddr::for_guest(1));
-            if sys.rx_queue_cap.is_some() {
-                sys.world.xen.as_mut().unwrap().domain_mut(gid).rx_queue_cap = sys.rx_queue_cap;
-            }
-            sys.guest = Some(gid);
-            // The measured workload runs in the guest, so that is who is
-            // on the CPU between packets.
-            sys.world.xen.as_mut().unwrap().current = gid;
-            // One guest payload page whose machine address the TX glue
-            // chains as an sk_buff fragment (paper §5.3).
-            sys.machine.map_fresh(gspace, GUEST_HEAP_BASE, 4)?;
-            let t = sys
-                .machine
-                .translate(gspace, ExecMode::Guest, GUEST_HEAP_BASE, false)?;
-            sys.guest_tx_frag = t.entry.pfn * PAGE_SIZE;
-        }
-
-        // TwinDrivers: derive and load the hypervisor instance.
-        if config == Config::TwinDrivers {
-            // The reserved pool backs RX replenishment for every NIC in
-            // steady state (each swaps in ~128 buffers), so it scales
-            // with the device count; one NIC keeps the paper's 512.
+        sys.backend = if config == Config::TwinDrivers {
+            // Derive and load the hypervisor instance. The reserved pool
+            // backs RX replenishment for every NIC in steady state (each
+            // swaps in ~128 buffers), so it scales with the device count;
+            // one NIC keeps the paper's 512.
             sys.world
                 .kernel
                 .reserve_hypervisor_pool(&mut sys.machine, 512 * num_nics)?;
@@ -1103,6 +1174,7 @@ impl System {
                 svm.placement().base,
             )
             .map_err(|e| SystemError::Build(e.to_string()))?;
+            let entries = DriverEntries::resolve(|name| hyp.entry(name))?;
             svm.set_code_mapping((HYP_CODE_BASE - VM_CODE_BASE) as i64, hyp.code_range());
             sys.world.svm_hyp = Some(svm);
             let mut hs = HyperSupport::new();
@@ -1115,34 +1187,105 @@ impl System {
             hs.engine
                 .set_flush_deadline(opts.upcall_flush_deadline_cycles);
             sys.world.hyper = Some(hs);
-            sys.hyperdrv = Some(hyp);
             if opts.iommu {
                 let mut iommu = Iommu::new();
                 iommu.allow_space_frames(&sys.machine, dom0);
-                if let Some(gid) = sys.guest {
-                    let gspace = sys.world.xen.as_ref().unwrap().domain(gid).space;
-                    iommu.allow_space_frames(&sys.machine, gspace);
-                }
+                iommu.allow_space_frames(&sys.machine, gspace);
                 sys.world.iommu = Some(iommu);
             }
-        }
-
-        // Baseline guest path: dom0 bridges instead of consuming locally.
-        if config == Config::XenGuest {
+            Backend::Twin {
+                gid,
+                hyp: Box::new(hyp),
+                entries,
+            }
+        } else {
+            // Baseline guest path: dom0 bridges instead of consuming
+            // locally.
             sys.world.kernel.rx_mode = RxMode::Bridge;
-        }
+            Backend::Bridged { gid }
+        };
 
         // Zero-copy datapath: the grant cache comes up empty (mappings
         // establish on first touch) and the primary guest's buffer pool
         // is granted and pre-pinned up front. Entirely absent when the
         // knob is off — the copy path allocates and charges nothing.
-        if opts.zero_copy && matches!(config, Config::XenGuest | Config::TwinDrivers) {
+        if opts.zero_copy {
             sys.grant_cache = Some(GrantCache::new(ZC_CACHE_CAPACITY));
-            let gid = sys.guest.expect("guest configurations have a guest");
             sys.grant_zero_copy_pool(gid)?;
         }
 
         Ok(sys)
+    }
+
+    /// Probes and opens device `dev` through the dom0 instance — probe
+    /// selects adapter slot `dev` and registers its net_device, open
+    /// programs the device's rings — and returns the new net_device.
+    fn bring_up(&mut self, dev: u32) -> Result<u64, SystemError> {
+        let registered = self.world.kernel.registered_netdevs.len();
+        self.call_driver(Routine::Probe, dev, &[dev], 50_000_000)?;
+        let netdev = *self
+            .world
+            .kernel
+            .registered_netdevs
+            .get(registered)
+            .ok_or_else(|| {
+                SystemError::Build(format!("e1000_probe registered no net_device for {dev}"))
+            })?;
+        self.call_driver(Routine::Open, dev, &[netdev as u32], 200_000_000)?;
+        Ok(netdev)
+    }
+
+    /// The derived hypervisor driver (TwinDrivers only).
+    pub fn hyperdrv(&self) -> Option<&HypervisorDriver> {
+        match &self.backend {
+            Backend::Twin { hyp, .. } => Some(hyp.as_ref()),
+            _ => None,
+        }
+    }
+
+    fn hyperdrv_mut(&mut self) -> Option<&mut HypervisorDriver> {
+        match &mut self.backend {
+            Backend::Twin { hyp, .. } => Some(hyp.as_mut()),
+            _ => None,
+        }
+    }
+
+    /// Calls a driver routine for device `dev` on the instance the
+    /// backend runs it on: TwinDrivers' datapath runs the hypervisor
+    /// instance, everything else the dom0 one. A datapath routine is
+    /// charged to [`CostDomain::Driver`], and on a multi-NIC system it
+    /// takes its `_dev` entry with `dev` appended to `args`. Probe and
+    /// open charge whoever calls them.
+    fn call_driver(
+        &mut self,
+        routine: Routine,
+        dev: u32,
+        args: &[u32],
+        budget: u64,
+    ) -> Result<u32, SystemError> {
+        if routine.symbols().1.is_none() {
+            return self.call_dom0(self.entries.get(routine, false), args, budget);
+        }
+        let multi = self.multi_nic();
+        let mut buf = [0u32; 4];
+        buf[..args.len()].copy_from_slice(args);
+        buf[args.len()] = dev;
+        let args = &buf[..args.len() + usize::from(multi)];
+        let twin = match &self.backend {
+            Backend::Twin { gid, hyp, entries } => {
+                Some((*gid, hyp.stack_top, entries.get(routine, multi)))
+            }
+            _ => None,
+        };
+        self.machine.meter.push_domain(CostDomain::Driver);
+        let r = match twin {
+            Some((gid, stack_top, entry)) => {
+                self.call_hyperdrv(gid, stack_top, entry, args, budget, dev)
+            }
+            None => self.call_dom0(self.entries.get(routine, multi), args, budget),
+        };
+        self.machine.meter.pop_domain();
+        r
     }
 
     /// Runs a function of the dom0/native driver instance.
@@ -1169,24 +1312,22 @@ impl System {
     /// transparently after the one errored invocation.
     fn call_hyperdrv(
         &mut self,
+        gid: DomId,
+        stack_top: u64,
         entry: u64,
         args: &[u32],
         budget: u64,
         dev: u32,
     ) -> Result<u32, SystemError> {
-        let hyp = self.hyperdrv.as_ref().expect("hypervisor driver");
-        if let Some(reason) = &hyp.aborted {
-            return Err(SystemError::DriverAborted(reason.clone()));
+        if let Some(reason) = self.hyperdrv().and_then(|h| h.aborted.clone()) {
+            return Err(SystemError::DriverAborted(reason));
         }
-        if hyp.is_quarantined(dev) {
+        if self.hyperdrv().is_some_and(|h| h.is_quarantined(dev)) {
             // Live recovery: reset the device and fall through into the
             // requested call on the rebuilt adapter slot.
             self.recover_device(dev)?;
         }
-        let hyp = self.hyperdrv.as_ref().unwrap();
-        let gid = self.guest.expect("guest");
-        let gspace = self.world.xen.as_ref().unwrap().domain(gid).space;
-        let stack_top = hyp.stack_top;
+        let gspace = self.world.xen_mut().domain(gid).space;
         let r = call_function(
             &mut self.machine,
             &mut self.world,
@@ -1213,10 +1354,9 @@ impl System {
                 if self.fault_recovery {
                     // Quarantine the faulted device, not the image:
                     // siblings keep serving through the shared driver.
-                    self.hyperdrv
-                        .as_mut()
-                        .unwrap()
-                        .quarantine_device(dev, reason.clone());
+                    if let Some(hyp) = self.hyperdrv_mut() {
+                        hyp.quarantine_device(dev, reason.clone());
+                    }
                     self.machine.meter.count_event("quarantine_enter");
                     if self.machine.trace.enabled() {
                         self.machine
@@ -1249,7 +1389,9 @@ impl System {
                     // grants, queued upcalls, poll latches and watchdogs
                     // are torn down, with one aggregated accounting
                     // event for the episode.
-                    self.hyperdrv.as_mut().unwrap().abort(reason.clone());
+                    if let Some(hyp) = self.hyperdrv_mut() {
+                        hyp.abort(reason.clone());
+                    }
                     let (mut replayed, mut dropped) = (0u32, 0u32);
                     for d in 0..self.world.nics.len() as u32 {
                         let (r, dr, _, _) = self.fault_teardown(d)?;
@@ -1372,12 +1514,13 @@ impl System {
         // 4. NAPI: close an open poll span (the residency metric and
         // the chrome export both need the episode bounded); the IRQ
         // stays masked until the reset's `e1000_open` re-enables `IMS`.
-        if self.napi_weight > 0 && self.poll_mode.get(dev as usize).copied().unwrap_or(false) {
-            self.poll_mode[dev as usize] = false;
+        if let Some(entered) = self
+            .poll_entered_at
+            .get_mut(dev as usize)
+            .and_then(Option::take)
+        {
             let now = self.machine.meter.now();
-            if let Some(entered) = self.poll_entered_at[dev as usize].take() {
-                self.poll_cycles[dev as usize] += now.saturating_sub(entered);
-            }
+            self.poll_cycles[dev as usize] += now.saturating_sub(entered);
             self.machine.meter.count_event("napi_exit");
             if self.machine.trace.enabled() {
                 self.machine.trace_event(TraceEvent::NapiComplete { dev });
@@ -1400,12 +1543,11 @@ impl System {
         // 7. The device's watchdog: its handler would run the dom0
         // instance over the corrupted adapter slot at the next wheel
         // service. Re-probe re-arms it via `mod_timer`.
-        if let Some(wd) = self.driver.entry("e1000_watchdog") {
-            self.world
-                .kernel
-                .timers
-                .disarm_where(|t| t.handler == wd && t.data == u64::from(dev));
-        }
+        let wd = self.entries.watchdog;
+        self.world
+            .kernel
+            .timers
+            .disarm_where(|t| t.handler == wd && t.data == u64::from(dev));
         Ok((replayed, dropped, revoked_doms, revoked_mappings))
     }
 
@@ -1429,16 +1571,7 @@ impl System {
                 "device {dev} is not quarantined"
             )));
         };
-        let probe = self.driver.entry("e1000_probe").unwrap();
-        self.call_dom0(probe, &[dev], 50_000_000)?;
-        // `register_netdev` pushes: the re-probe's netdev is the newest.
-        let netdev = *self.world.kernel.registered_netdevs.last().unwrap();
-        self.netdevs[dev as usize] = netdev;
-        if dev == 0 {
-            self.netdev = netdev;
-        }
-        let open = self.driver.entry("e1000_open").unwrap();
-        self.call_dom0(open, &[netdev as u32], 200_000_000)?;
+        self.netdevs[dev as usize] = self.bring_up(dev)?;
         self.machine.meter.count_event("device_reset");
         if self.machine.trace.enabled() {
             self.machine.trace_event(TraceEvent::DeviceReset { dev });
@@ -1446,10 +1579,9 @@ impl System {
         for d in &ep.revoked_doms {
             self.grant_zero_copy_pool(DomId(*d))?;
         }
-        self.hyperdrv
-            .as_mut()
-            .expect("quarantine implies a hypervisor driver")
-            .release_device(dev);
+        if let Some(hyp) = self.hyperdrv_mut() {
+            hyp.release_device(dev);
+        }
         self.machine.meter.count_event("quarantine_exit");
         if self.machine.trace.enabled() {
             self.machine.trace_event(TraceEvent::QuarantineExit { dev });
@@ -1504,9 +1636,8 @@ impl System {
     /// Calls a hypervisor support routine directly (the paravirtual glue
     /// uses this for buffer management, so forced upcalls are exercised —
     /// Figure 10).
-    fn call_support(&mut self, name: &str, args: &[u32]) -> Result<u32, SystemError> {
-        let gid = self.guest.expect("guest");
-        let gspace = self.world.xen.as_ref().unwrap().domain(gid).space;
+    fn call_support(&mut self, gid: DomId, name: &str, args: &[u32]) -> Result<u32, SystemError> {
+        let gspace = self.world.xen_mut().domain(gid).space;
         let mut cpu = Cpu::new(gspace, ExecMode::Hypervisor);
         cpu.set_stack(UPCALL_STACK_BASE + UPCALL_STACK_PAGES * PAGE_SIZE);
         cpu.push_call_frame(&mut self.machine, args)?;
@@ -1577,17 +1708,6 @@ impl System {
         self.itr_tuners.get(dev as usize)
     }
 
-    /// Services every device's auto-tuner: at each elapsed interval
-    /// window the tuner classifies the window's receive counters and
-    /// proposes a one-rung `ITR` step; the system charges the retune
-    /// cost to the driver (the state machine runs in the driver's
-    /// interrupt context, like Linux's `e1000_set_itr`) and writes the
-    /// register through the normal MMIO path. A no-op costing zero
-    /// cycles when auto-tuning is off or no window has closed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates MMIO faults from the register write.
     /// Ends a device's gated wait at virtual time `now` (the moment its
     /// latched cause delivers, or is otherwise consumed): a wait whose
     /// arrival rate stayed below the busy floor (fewer than
@@ -1612,6 +1732,17 @@ impl System {
         }
     }
 
+    /// Services every device's auto-tuner: at each elapsed interval
+    /// window the tuner classifies the window's receive counters and
+    /// proposes a one-rung `ITR` step; the system charges the retune
+    /// cost to the driver (the state machine runs in the driver's
+    /// interrupt context, like Linux's `e1000_set_itr`) and writes the
+    /// register through the normal MMIO path. A no-op costing zero
+    /// cycles when auto-tuning is off or no window has closed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates MMIO faults from the register write.
     fn service_itr_tuners(&mut self) -> Result<(), SystemError> {
         if self.itr_tuners.is_empty() {
             return Ok(());
@@ -1906,8 +2037,8 @@ impl System {
             return; // nothing tracked: skip the delivery-log scans
         }
         let now = self.machine.meter.now();
-        match self.config {
-            Config::NativeLinux | Config::XenDom0 => {
+        match self.backend {
+            Backend::Dom0 { .. } => {
                 let cur = *self.rx_sample_cursors.get(&u32::MAX).unwrap_or(&0);
                 let new: Vec<(u32, u64)> = self
                     .world
@@ -1924,14 +2055,11 @@ impl System {
                 }
                 self.rx_sample_cursors.insert(u32::MAX, cur + new.len());
             }
-            Config::XenGuest | Config::TwinDrivers => {
-                let Some(ndoms) = self.world.xen.as_ref().map(|x| x.domains.len()) else {
-                    return;
-                };
-                for i in 0..ndoms {
+            Backend::Bridged { .. } | Backend::Twin { .. } => {
+                for i in 0..self.world.xen_mut().domains.len() {
                     let key = i as u32;
                     let cur = *self.rx_sample_cursors.get(&key).unwrap_or(&0);
-                    let new: Vec<(u32, u64)> = self.world.xen.as_ref().unwrap().domains[i]
+                    let new: Vec<(u32, u64)> = self.world.xen_mut().domains[i]
                         .rx_delivered
                         .iter()
                         .skip(cur)
@@ -2020,23 +2148,6 @@ impl System {
     /// bookkeeping only; costs and single-NIC behaviour are unchanged).
     const GEN_FLOWS: u64 = 8;
 
-    fn next_tx_frame(&mut self) -> Frame {
-        let src = match self.config {
-            Config::XenGuest | Config::TwinDrivers => MacAddr::for_guest(1),
-            _ => MacAddr::for_guest(0),
-        };
-        let f = Frame {
-            dst: peer_mac(),
-            src,
-            ethertype: EtherType::Ipv4,
-            payload_len: MTU,
-            flow: 1 + (self.seq % Self::GEN_FLOWS) as u32,
-            seq: self.seq,
-        };
-        self.seq += 1;
-        f
-    }
-
     /// Scan base for [`crate::measure::balanced_flow_set`], the
     /// device-balanced flow generator the autotune and affinity
     /// harnesses pace with. (The classic generator's flows 101–108
@@ -2047,17 +2158,25 @@ impl System {
     /// flows per device at four NICs.)
     pub const BALANCED_FLOW_BASE: u32 = 203;
 
-    fn next_rx_frame(&mut self) -> Frame {
-        let dst = match self.config {
-            Config::XenGuest | Config::TwinDrivers => MacAddr::for_guest(1),
-            _ => MacAddr::for_guest(0),
+    /// The next generated MTU frame between the measured endpoint and
+    /// the peer: toward the peer on transmit (flows 1–8), from it on
+    /// receive (flows 101–108).
+    fn next_frame(&mut self, rx: bool) -> Frame {
+        let local = match self.backend {
+            Backend::Dom0 { .. } => MacAddr::for_guest(0),
+            Backend::Bridged { .. } | Backend::Twin { .. } => MacAddr::for_guest(1),
+        };
+        let (src, dst, flow_base) = if rx {
+            (peer_mac(), local, 101)
+        } else {
+            (local, peer_mac(), 1)
         };
         let f = Frame {
             dst,
-            src: peer_mac(),
+            src,
             ethertype: EtherType::Ipv4,
             payload_len: MTU,
-            flow: 101 + (self.seq % Self::GEN_FLOWS) as u32,
+            flow: flow_base + (self.seq % Self::GEN_FLOWS) as u32,
             seq: self.seq,
         };
         self.seq += 1;
@@ -2096,16 +2215,15 @@ impl System {
         let mut total = 0;
         'bursts: while total < n {
             let chunk = (n - total).min(MAX_BURST);
-            let frames: Vec<Frame> = (0..chunk).map(|_| self.next_tx_frame()).collect();
+            let frames: Vec<Frame> = (0..chunk).map(|_| self.next_frame(false)).collect();
             // Shard the chunk across NICs; one NIC receives the whole
             // chunk under Static/RoundRobin, FlowHash may split it.
             for (dev, group) in self.shard_frames(frames) {
                 let want = group.len();
-                let sent = match self.config {
-                    Config::NativeLinux => self.tx_dom0_style(&group, false, dev),
-                    Config::XenDom0 => self.tx_dom0_style(&group, true, dev),
-                    Config::XenGuest => self.tx_baseline_guest(&group, dev),
-                    Config::TwinDrivers => self.tx_twin(&group, dev),
+                let sent = match self.backend {
+                    Backend::Dom0 { on_xen } => self.tx_dom0_style(&group, on_xen, dev),
+                    Backend::Bridged { gid } => self.tx_baseline_guest(&group, gid, dev),
+                    Backend::Twin { gid, .. } => self.tx_twin(&group, gid, dev),
                 }?;
                 total += sent;
                 if sent < want {
@@ -2146,15 +2264,10 @@ impl System {
     /// remainder goes in a follow-up invocation, so large bursts cost a
     /// few doorbells instead of failing. Returns how many packets the
     /// ring accepted; unaccepted skbs are freed here.
-    fn drive_tx(
-        &mut self,
-        skbs: &[SkBuff],
-        hypervisor: bool,
-        dev: u32,
-    ) -> Result<usize, SystemError> {
+    fn drive_tx(&mut self, skbs: &[SkBuff], dev: u32) -> Result<usize, SystemError> {
         let mut done = 0;
         while done < skbs.len() {
-            let accepted = match self.drive_tx_once(&skbs[done..], hypervisor, dev) {
+            let accepted = match self.drive_tx_once(&skbs[done..], dev) {
                 Ok(a) => a,
                 Err(e) => {
                     // Return the in-flight remainder to the pools before
@@ -2173,84 +2286,24 @@ impl System {
     }
 
     /// One driver invocation: `e1000_xmit_frame` for a burst of one (the
-    /// exact per-packet path), `e1000_xmit_batch` otherwise. Multi-NIC
-    /// systems go through the `*_dev` entries, which select device
-    /// `dev`'s adapter slot before the shared body runs.
-    fn drive_tx_once(
-        &mut self,
-        skbs: &[SkBuff],
-        hypervisor: bool,
-        dev: u32,
-    ) -> Result<usize, SystemError> {
-        let multi = self.multi_nic();
-        let sent = if let [skb] = skbs {
-            let args = if multi {
-                vec![skb.0 as u32, self.netdev_of(dev) as u32, dev]
-            } else {
-                vec![skb.0 as u32, self.netdev as u32]
-            };
-            let entry = if multi {
-                "e1000_xmit_frame_dev"
-            } else {
-                "e1000_xmit_frame"
-            };
-            self.machine.meter.push_domain(CostDomain::Driver);
-            let r = if hypervisor {
-                let xmit = self.hyperdrv.as_ref().unwrap().entry(entry).unwrap();
-                self.call_hyperdrv(xmit, &args, 2_000_000, dev)
-            } else {
-                let xmit = self.driver.entry(entry).unwrap();
-                self.call_dom0(xmit, &args, 2_000_000)
-            };
-            self.machine.meter.pop_domain();
-            usize::from(r? == 0)
-        } else {
-            for (i, skb) in skbs.iter().enumerate() {
-                self.machine.write_u32(
-                    self.dom0,
-                    ExecMode::Guest,
-                    self.tx_batch_buf + i as u64 * 4,
-                    skb.0 as u32,
-                )?;
-            }
-            let args = if multi {
-                vec![
-                    self.tx_batch_buf as u32,
-                    skbs.len() as u32,
-                    self.netdev_of(dev) as u32,
-                    dev,
-                ]
-            } else {
-                vec![
-                    self.tx_batch_buf as u32,
-                    skbs.len() as u32,
-                    self.netdev as u32,
-                ]
-            };
-            let entry = if multi {
-                "e1000_xmit_batch_dev"
-            } else {
-                "e1000_xmit_batch"
-            };
-            let budget = 2_000_000 * skbs.len() as u64;
-            self.machine.meter.push_domain(CostDomain::Driver);
-            let r = if hypervisor {
-                let hyp = self.hyperdrv.as_ref().unwrap();
-                let xmit = if multi {
-                    hyp.xmit_batch_dev_entry()
-                } else {
-                    hyp.xmit_batch_entry()
-                }
-                .unwrap();
-                self.call_hyperdrv(xmit, &args, budget, dev)
-            } else {
-                let xmit = self.driver.entry(entry).unwrap();
-                self.call_dom0(xmit, &args, budget)
-            };
-            self.machine.meter.pop_domain();
-            r? as usize
-        };
-        Ok(sent)
+    /// exact per-packet path), `e1000_xmit_batch` otherwise.
+    fn drive_tx_once(&mut self, skbs: &[SkBuff], dev: u32) -> Result<usize, SystemError> {
+        let netdev = self.netdev_of(dev) as u32;
+        if let [skb] = skbs {
+            let r = self.call_driver(Routine::XmitFrame, dev, &[skb.0 as u32, netdev], 2_000_000);
+            return Ok(usize::from(r? == 0));
+        }
+        for (i, skb) in skbs.iter().enumerate() {
+            self.machine.write_u32(
+                self.dom0,
+                ExecMode::Guest,
+                self.tx_batch_buf + i as u64 * 4,
+                skb.0 as u32,
+            )?;
+        }
+        let args = [self.tx_batch_buf as u32, skbs.len() as u32, netdev];
+        let budget = 2_000_000 * skbs.len() as u64;
+        Ok(self.call_driver(Routine::XmitBatch, dev, &args, budget)? as usize)
     }
 
     /// Native Linux / dom0 transmit: stack → driver, burst-wise.
@@ -2287,15 +2340,19 @@ impl System {
                 return Err(e.into());
             }
         }
-        self.drive_tx(&skbs, false, dev)
+        self.drive_tx(&skbs, dev)
     }
 
     /// Baseline Xen guest transmit (paper §2): netfront → I/O channel →
     /// netback → bridge → dom0 driver. netfront produces the whole burst
     /// of requests and notifies **once**; grants, copies and backend
     /// bookkeeping stay per-packet.
-    fn tx_baseline_guest(&mut self, frames: &[Frame], dev: u32) -> Result<usize, SystemError> {
-        let gid = self.guest.expect("guest");
+    fn tx_baseline_guest(
+        &mut self,
+        frames: &[Frame],
+        gid: DomId,
+        dev: u32,
+    ) -> Result<usize, SystemError> {
         for i in 0..frames.len() {
             // Guest stack + netfront request production.
             let c = self.tx_stack_cost(i);
@@ -2304,7 +2361,7 @@ impl System {
             m.meter
                 .charge_to(CostDomain::DomU, m.cost.netfront_per_packet);
         }
-        let xen = self.world.xen.as_mut().expect("xen");
+        let xen = self.world.xen_mut();
         // One notify + one switch into the driver domain per burst.
         xen.hypercall(&mut self.machine);
         xen.send_virq(&mut self.machine, DomId::DOM0, 1);
@@ -2313,24 +2370,14 @@ impl System {
         // In zero-copy mode the guest's TX pool is already mapped: a
         // cache hit replaces the per-packet map (and the unmap below);
         // fallback frames keep the baseline map/unmap pair.
-        let mut zc_occ: BTreeMap<u32, usize> = BTreeMap::new();
+        let mut zc_occ = ZcOccupancy::new();
         let mut zc_landed = 0usize;
         let mut skbs = Vec::with_capacity(frames.len());
         for frame in frames {
-            let zc_hit = if self.zero_copy {
-                let slot = *zc_occ.get(&frame.flow).unwrap_or(&0);
-                let hit = self.zc_access(gid, frame.flow, true, slot, frame.len(), dev);
-                if hit {
-                    *zc_occ.entry(frame.flow).or_insert(0) += 1;
-                    zc_landed += 1;
-                }
-                hit
+            if self.zc_access(&mut zc_occ, gid, frame, true, dev) {
+                zc_landed += 1;
             } else {
-                false
-            };
-            if !zc_hit {
-                let xen = self.world.xen.as_mut().unwrap();
-                xen.grant_map_dev(&mut self.machine, dev);
+                self.world.xen_mut().grant_map_dev(&mut self.machine, dev);
             }
             {
                 let m = &mut self.machine;
@@ -2353,11 +2400,11 @@ impl System {
                 return Err(e.into());
             }
         }
-        let sent = self.drive_tx(&skbs, false, dev)?;
+        let sent = self.drive_tx(&skbs, dev)?;
         // Unmap the per-packet (non-pool) mappings, produce the
         // responses, one notification, switch back. Pool pages stay
         // mapped — that is the point of zero-copy mode.
-        let xen = self.world.xen.as_mut().unwrap();
+        let xen = self.world.xen_mut();
         for _ in 0..frames.len() - zc_landed {
             xen.grant_unmap_dev(&mut self.machine, dev);
         }
@@ -2436,9 +2483,8 @@ impl System {
     /// hypervisor driver instance, all without leaving the guest
     /// context. A burst pays **one** hypercall and one driver
     /// invocation/doorbell.
-    fn tx_twin(&mut self, frames: &[Frame], dev: u32) -> Result<usize, SystemError> {
-        let gid = self.guest.expect("guest");
-        let mut zc_occ: BTreeMap<u32, usize> = BTreeMap::new();
+    fn tx_twin(&mut self, frames: &[Frame], gid: DomId, dev: u32) -> Result<usize, SystemError> {
+        let mut zc_occ = ZcOccupancy::new();
         for i in 0..frames.len() {
             let c = self.tx_stack_cost(i);
             let m = &mut self.machine;
@@ -2446,8 +2492,7 @@ impl System {
             m.meter.charge_to(CostDomain::DomU, c);
             m.meter.charge_to(CostDomain::DomU, m.cost.pv_driver_guest);
         }
-        let xen = self.world.xen.as_mut().expect("xen");
-        xen.hypercall(&mut self.machine);
+        self.world.xen_mut().hypercall(&mut self.machine);
         let netdev = self.netdev_of(dev) as u32;
         let batched = self.alloc_burst_deferred(frames.len(), netdev)?;
         let mut skbs = Vec::with_capacity(frames.len());
@@ -2461,7 +2506,7 @@ impl System {
                 None => {
                     let m = &mut self.machine;
                     m.meter.charge_to(CostDomain::Xen, m.cost.twin_glue_tx);
-                    self.call_support("netdev_alloc_skb", &[netdev, 2048])
+                    self.call_support(gid, "netdev_alloc_skb", &[netdev, 2048])
                 }
             };
             let skb = match raw {
@@ -2483,25 +2528,11 @@ impl System {
             // zero-copy pool the header lives in an already-mapped pool
             // page, so even the header copy collapses to the cached
             // grant access; fallback frames bounce through the copy.
-            let zc_hit = if self.zero_copy {
-                let slot = *zc_occ.get(&frame.flow).unwrap_or(&0);
-                let hit = self.zc_access(gid, frame.flow, true, slot, frame.len(), dev);
-                if hit {
-                    *zc_occ.entry(frame.flow).or_insert(0) += 1;
-                }
-                hit
-            } else {
-                false
-            };
-            if !zc_hit {
-                {
-                    let m = &mut self.machine;
-                    let c = m.cost.copy_cycles(header_copy as u64);
-                    m.meter.charge_to(CostDomain::Xen, c);
-                }
-                if let Some(xen) = self.world.xen.as_mut() {
-                    xen.note_grant_copy(Some(dev));
-                }
+            if !self.zc_access(&mut zc_occ, gid, frame, true, dev) {
+                let m = &mut self.machine;
+                let c = m.cost.copy_cycles(header_copy as u64);
+                m.meter.charge_to(CostDomain::Xen, c);
+                self.world.xen_mut().note_grant_copy(Some(dev));
             }
             let filled = skb
                 .fill_from_frame(&mut self.machine, self.dom0, frame)
@@ -2520,7 +2551,7 @@ impl System {
                 return Err(e.into());
             }
         }
-        self.drive_tx(&skbs, true, dev)
+        self.drive_tx(&skbs, dev)
     }
 
     /// Error-path cleanup for the batched allocation continuation: frees
@@ -2552,7 +2583,7 @@ impl System {
     /// [`SystemError::RxRingFull`] if the driver has not replenished
     /// buffers; otherwise propagates faults.
     pub fn receive_one(&mut self) -> Result<(), SystemError> {
-        let frame = self.next_rx_frame();
+        let frame = self.next_frame(true);
         self.receive_frame(&frame)
     }
 
@@ -2640,12 +2671,7 @@ impl System {
                 // reset reconstructs the rings, so frames posted first
                 // would be wiped with the corrupted slot — recovering
                 // here means only the aborted burst is ever lost.
-                if self.fault_recovery
-                    && self
-                        .hyperdrv
-                        .as_ref()
-                        .is_some_and(|h| h.is_quarantined(*dev))
-                {
+                if self.fault_recovery && self.hyperdrv().is_some_and(|h| h.is_quarantined(*dev)) {
                     self.recover_device(*dev)?;
                 }
                 let accepted =
@@ -2670,7 +2696,7 @@ impl System {
                     pending.drain(..accepted);
                     done += accepted;
                     let now = self.machine.meter.now();
-                    if napi && self.poll_mode[*dev as usize] {
+                    if self.in_poll_mode(*dev) {
                         // Masked: the ring filled silently — free at
                         // arrival time. The budgeted poll pass below
                         // services it; poll mode takes precedence over
@@ -2834,7 +2860,7 @@ impl System {
                 self.rx_flow_dev.insert(f.flow, dev);
             }
             let now = self.machine.meter.now();
-            if napi && self.poll_mode[dev as usize] {
+            if self.in_poll_mode(dev) {
                 // Masked: zero per-arrival cost — the point of NAPI.
             } else if self.world.nics[dev as usize].irq_allowed_at(now) {
                 self.moderated_pending.retain(|d| *d != dev);
@@ -2847,7 +2873,7 @@ impl System {
                     // (into the demux queues for TwinDrivers); the
                     // consumer flush happens whenever the CPU next gets
                     // a gap. This is the livelock-prone discipline.
-                    self.rx_isr_reap(dev)?;
+                    self.rx_reap(&[dev])?;
                 }
             } else if !self.moderated_pending.contains(&dev) {
                 self.moderated_pending.push(dev);
@@ -2915,33 +2941,41 @@ impl System {
         }) {
             return true;
         }
-        self.poll_mode
+        self.poll_entered_at
             .iter()
             .zip(&self.world.nics)
-            .any(|(&polling, nic)| polling && nic.rx_pending() > 0)
+            .any(|(polling, nic)| polling.is_some() && nic.rx_pending() > 0)
     }
 
     /// Runs the configuration's receive software path for one hardware
     /// pass covering `devs` (each with a freshly filled RX ring): per-NIC
-    /// interrupt dispatch and descriptor reap, then a single demux flush
-    /// with one virtual interrupt per destination guest per quantum
-    /// round.
+    /// interrupt dispatch and descriptor reap, then, for TwinDrivers, a
+    /// single demux flush with one virtual interrupt per destination
+    /// guest per quantum round.
     fn rx_pass(&mut self, devs: &[u32]) -> Result<(), SystemError> {
-        match self.config {
-            Config::NativeLinux => {
-                for &dev in devs {
-                    self.rx_dom0_style(false, dev)?;
-                }
-            }
-            Config::XenDom0 => {
-                for &dev in devs {
-                    self.rx_dom0_style(true, dev)?;
-                }
-            }
-            Config::XenGuest => self.rx_baseline_guest(devs)?,
-            Config::TwinDrivers => self.rx_twin(devs)?,
+        self.rx_reap(devs)?;
+        if let Backend::Twin { .. } = self.backend {
+            self.flush_guest_rx_queues()?;
         }
         Ok(())
+    }
+
+    /// The reap half of [`System::rx_pass`], which is also the
+    /// open-loop per-arrival ISR: interrupt dispatch and descriptor reap
+    /// without the consumer-side flush (TwinDrivers demux-queues frames;
+    /// the other paths deliver inline, as their stack runs in interrupt
+    /// context anyway).
+    fn rx_reap(&mut self, devs: &[u32]) -> Result<(), SystemError> {
+        match self.backend {
+            Backend::Dom0 { on_xen } => {
+                for &dev in devs {
+                    self.rx_dom0_style(on_xen, dev)?;
+                }
+                Ok(())
+            }
+            Backend::Bridged { gid } => self.rx_baseline_guest(gid, devs),
+            Backend::Twin { .. } => self.rx_twin_reap(devs),
+        }
     }
 
     /// Polled receive (NAPI-style): reaps every filled RX descriptor
@@ -2958,46 +2992,21 @@ impl System {
         // timers (deadline flush) still run first.
         self.service_virtual_timers(false)?;
         self.world.kernel.begin_stack_burst();
-        let multi = self.multi_nic();
         let mut reaped = 0usize;
         for dev in 0..self.world.nics.len() as u32 {
-            let args = if multi {
-                vec![self.netdev_of(dev) as u32, dev]
-            } else {
-                vec![self.netdev as u32]
-            };
-            let entry = if multi {
-                "e1000_poll_rx_batch_dev"
-            } else {
-                "e1000_poll_rx_batch"
-            };
-            self.machine.meter.push_domain(CostDomain::Driver);
-            let r = if self.config == Config::TwinDrivers {
-                let hyp = self.hyperdrv.as_ref().unwrap();
-                let poll = if multi {
-                    hyp.poll_rx_batch_dev_entry()
-                } else {
-                    hyp.poll_rx_batch_entry()
-                }
-                .unwrap();
-                self.call_hyperdrv(poll, &args, 20_000_000, dev)
-            } else {
-                let poll = self.driver.entry(entry).unwrap();
-                self.call_dom0(poll, &args, 20_000_000)
-            };
-            self.machine.meter.pop_domain();
-            reaped += r? as usize;
+            let args = [self.netdev_of(dev) as u32];
+            reaped += self.call_driver(Routine::PollRxBatch, dev, &args, 20_000_000)? as usize;
         }
         // End of the polled pass: a natural dom0 scheduling point.
         self.flush_deferred_upcalls()?;
-        match self.config {
-            // Hypervisor demux queued frames per guest: flush them.
-            Config::TwinDrivers => self.flush_guest_rx_queues()?,
+        match self.backend {
+            Backend::Dom0 { .. } => {}
             // Bridge mode queued frames toward the backend: push them
             // through the I/O channel (the poll runs in dom0, so no
             // domain switches around it).
-            Config::XenGuest => self.forward_bridged_frames()?,
-            _ => {}
+            Backend::Bridged { gid } => self.forward_bridged_frames(gid)?,
+            // Hypervisor demux queued frames per guest: flush them.
+            Backend::Twin { .. } => self.flush_guest_rx_queues()?,
         }
         // NAPI semantics: the polled reap consumed every device's
         // latched work (without an ICR read), so no moderated delivery
@@ -3012,7 +3021,9 @@ impl System {
     /// masked, serviced by the budgeted poll loop). Always `false` when
     /// [`SystemOptions::napi_weight`] is 0.
     pub fn in_poll_mode(&self, dev: u32) -> bool {
-        self.poll_mode.get(dev as usize).copied().unwrap_or(false)
+        self.poll_entered_at
+            .get(dev as usize)
+            .is_some_and(Option::is_some)
     }
 
     /// Turns the flight recorder on or off at runtime (see
@@ -3240,7 +3251,7 @@ impl System {
     /// ITR moderation latch: a device entering poll mode leaves
     /// `moderated_pending`, since its cause is consumed right here.
     fn napi_enter(&mut self, dev: u32) -> Result<(), SystemError> {
-        if self.poll_mode[dev as usize] {
+        if self.in_poll_mode(dev) {
             return Ok(());
         }
         {
@@ -3266,7 +3277,6 @@ impl System {
             m.meter.charge_to(CostDomain::Xen, m.cost.napi_switch);
             m.meter.count_event("napi_enter");
         }
-        self.poll_mode[dev as usize] = true;
         self.poll_entered_at[dev as usize] = Some(self.machine.meter.now());
         if self.machine.trace.enabled() {
             self.machine.trace_event(TraceEvent::NapiEnter { dev });
@@ -3295,7 +3305,6 @@ impl System {
             m.meter.charge_to(CostDomain::Xen, m.cost.napi_switch);
             m.meter.count_event("napi_exit");
         }
-        self.poll_mode[dev as usize] = false;
         let now = self.machine.meter.now();
         if let Some(entered) = self.poll_entered_at[dev as usize].take() {
             self.poll_cycles[dev as usize] += now.saturating_sub(entered);
@@ -3320,7 +3329,7 @@ impl System {
             });
         }
         {
-            let xen = self.world.xen.as_mut().expect("napi implies xen");
+            let xen = self.world.xen_mut();
             xen.raise_softirq(Softirq::NapiPoll { nic: dev });
             // Drain the pending set so the poll is accounted as softirq
             // work; UpcallFlush kicks ride along as usual.
@@ -3344,23 +3353,8 @@ impl System {
             m.meter.count_event("napi_poll");
         }
         self.world.kernel.begin_stack_burst();
-        let multi = self.multi_nic();
-        let hyp = self.hyperdrv.as_ref().expect("napi implies twindrivers");
-        let (entry, args) = if multi {
-            (
-                hyp.entry("e1000_poll_rx_budget_dev").unwrap(),
-                vec![self.netdev_of(dev) as u32, weight, dev],
-            )
-        } else {
-            (
-                hyp.entry("e1000_poll_rx_budget").unwrap(),
-                vec![self.netdev as u32, weight],
-            )
-        };
-        self.machine.meter.push_domain(CostDomain::Driver);
-        let r = self.call_hyperdrv(entry, &args, 20_000_000, dev);
-        self.machine.meter.pop_domain();
-        let reaped = r? as usize;
+        let args = [self.netdev_of(dev) as u32, weight];
+        let reaped = self.call_driver(Routine::PollRxBudget, dev, &args, 20_000_000)? as usize;
         if self.machine.trace.enabled() {
             self.machine.trace_event(TraceEvent::NapiPoll {
                 dev,
@@ -3378,7 +3372,7 @@ impl System {
     fn napi_poll_pass(&mut self) -> Result<usize, SystemError> {
         let mut polled: Vec<(u32, usize, usize)> = Vec::new();
         for dev in 0..self.world.nics.len() as u32 {
-            if self.poll_mode[dev as usize] {
+            if self.in_poll_mode(dev) {
                 let budget = self.napi_budget_for(dev);
                 let reaped = self.napi_poll_dev_reap(dev)?;
                 polled.push((dev, reaped, budget));
@@ -3421,20 +3415,7 @@ impl System {
 
     /// Whether any device still owes poll work (is in poll mode).
     fn napi_work_pending(&self) -> bool {
-        self.poll_mode.iter().any(|&p| p)
-    }
-
-    /// The configuration's per-arrival ISR reap — interrupt dispatch and
-    /// descriptor reap without the consumer-side flush (TwinDrivers
-    /// demux-queues frames; the dom0-style paths deliver inline, as
-    /// their stack runs in interrupt context anyway).
-    fn rx_isr_reap(&mut self, dev: u32) -> Result<(), SystemError> {
-        match self.config {
-            Config::NativeLinux => self.rx_dom0_style(false, dev),
-            Config::XenDom0 => self.rx_dom0_style(true, dev),
-            Config::XenGuest => self.rx_baseline_guest(&[dev]),
-            Config::TwinDrivers => self.rx_twin_reap(&[dev]),
-        }
+        self.poll_entered_at.iter().any(Option::is_some)
     }
 
     /// Early drop at RX-descriptor refill time: frames whose destination
@@ -3551,7 +3532,7 @@ impl System {
 
     /// Whether the zero-copy datapath is active.
     pub fn zero_copy(&self) -> bool {
-        self.zero_copy
+        self.grant_cache.is_some()
     }
 
     /// Grant-cache counters (`None` when zero-copy mode is off).
@@ -3571,7 +3552,7 @@ impl System {
     ///
     /// Fails if pool memory cannot be mapped.
     pub fn grant_zero_copy_pool(&mut self, gid: DomId) -> Result<usize, SystemError> {
-        if !self.zero_copy || self.zc_granted.contains(&gid.0) {
+        if self.grant_cache.is_none() || self.zc_granted.contains(&gid.0) {
             return Ok(0);
         }
         let gspace = self
@@ -3630,11 +3611,7 @@ impl System {
         };
         let n = cache.revoke_domain(gid.0);
         for _ in 0..n {
-            self.world
-                .xen
-                .as_mut()
-                .expect("zero-copy implies a hypervisor")
-                .grant_unmap(&mut self.machine);
+            self.world.xen_mut().grant_unmap(&mut self.machine);
         }
         if self.machine.trace.enabled() {
             self.machine.trace_event(TraceEvent::GrantCacheRevoke {
@@ -3646,38 +3623,40 @@ impl System {
         n
     }
 
-    /// One zero-copy slot access for a frame toward domain `dom`:
-    /// `slot` is the frame's index within its `(flow, direction)` pool
-    /// slice for the current pass. Charges `grant_cache_hit` on a hit;
-    /// `grant_map` + `pin_page` on a first-touch miss (plus a
-    /// `grant_unmap` when LRU eviction made room); `copy_fallback`
-    /// dispatch when the frame cannot land in a slot — ungranted
-    /// domain, oversized frame, or exhausted pool slice. Returns `true`
-    /// when the mapping covers the frame (the caller skips its copy),
-    /// `false` on fallback (the caller copies and charges as in copy
-    /// mode).
+    /// Lands `frame` in domain `dom`'s zero-copy pool, in the next slot
+    /// of its `(flow, direction)` slice for the current pass (`occ`
+    /// counts the slots each `(dom, flow)` has taken). Charges
+    /// `grant_cache_hit` on a hit; `grant_map` + `pin_page` on a
+    /// first-touch miss (plus a `grant_unmap` when LRU eviction made
+    /// room); `copy_fallback` dispatch when the frame cannot land in a
+    /// slot — ungranted domain, oversized frame, or exhausted pool
+    /// slice. Returns `true` when the mapping covers the frame (the
+    /// caller skips its copy), `false` on fallback or with zero-copy off
+    /// (the caller copies and charges as in copy mode).
     fn zc_access(
         &mut self,
+        occ: &mut ZcOccupancy,
         dom: DomId,
-        flow: u32,
+        frame: &Frame,
         tx: bool,
-        slot: usize,
-        len: u32,
         dev: u32,
     ) -> bool {
-        if !self.zc_granted.contains(&dom.0) || len > ZC_SLOT_BYTES || slot >= self.zc_pool_frames {
+        let Some(cache) = self.grant_cache.as_mut() else {
+            return false;
+        };
+        let slot = occ.entry((dom.0, frame.flow)).or_insert(0);
+        if !self.zc_granted.contains(&dom.0)
+            || frame.len() > ZC_SLOT_BYTES
+            || *slot >= self.zc_pool_frames
+        {
             let m = &mut self.machine;
             m.meter.charge_to(CostDomain::Xen, m.cost.copy_fallback);
             m.meter.count_event("copy_fallback");
             return false;
         }
-        let page = (u64::from(tx) << 48) | (u64::from(flow) << 16) | slot as u64;
-        let access = self
-            .grant_cache
-            .as_mut()
-            .expect("granted domains imply a cache")
-            .access(dom.0, page);
-        match access {
+        let page = (u64::from(tx) << 48) | (u64::from(frame.flow) << 16) | *slot as u64;
+        *slot += 1;
+        match cache.access(dom.0, page) {
             GrantAccess::Hit => {
                 let m = &mut self.machine;
                 m.meter.charge_to(CostDomain::Xen, m.cost.grant_cache_hit);
@@ -3688,11 +3667,7 @@ impl System {
                 }
             }
             GrantAccess::Miss { evicted } => {
-                self.world
-                    .xen
-                    .as_mut()
-                    .expect("zero-copy implies a hypervisor")
-                    .grant_map_dev(&mut self.machine, dev);
+                self.world.xen_mut().grant_map_dev(&mut self.machine, dev);
                 let m = &mut self.machine;
                 m.meter.charge_to(CostDomain::Xen, m.cost.pin_page);
                 m.meter.count_event("pin_page");
@@ -3701,11 +3676,7 @@ impl System {
                         .trace_event(TraceEvent::GrantCacheMiss { dom: dom.0, page });
                 }
                 if let Some((edom, epage)) = evicted {
-                    self.world
-                        .xen
-                        .as_mut()
-                        .unwrap()
-                        .grant_unmap(&mut self.machine);
+                    self.world.xen_mut().grant_unmap(&mut self.machine);
                     self.machine.meter.count_event("grant_cache_evict");
                     if self.machine.trace.enabled() {
                         self.machine.trace_event(TraceEvent::GrantCacheEvict {
@@ -3730,31 +3701,32 @@ impl System {
         let m = &mut self.machine;
         m.meter.count_event("irq");
         m.meter.charge_to(CostDomain::Dom0, m.cost.irq_dispatch);
-        // Each NIC asserts its own IRQ line, which probe registered a
-        // handler for (`request_irq(dev, …)`).
+        let netdev = self.netdev_of(dev) as u32;
+        if self.multi_nic() {
+            self.call_driver(Routine::Intr, dev, &[netdev], 10_000_000)?;
+            return Ok(());
+        }
+        // The kernel dispatches the IRQ line to the handler probe
+        // registered for it (`request_irq`).
         let irq = self.world.nics[dev as usize].irq_line();
         let handler = *self
             .world
             .kernel
             .irq_handlers
             .get(&irq)
-            .expect("irq handler registered");
+            .ok_or_else(|| SystemError::Build(format!("no handler registered on irq {irq}")))?;
         self.machine.meter.push_domain(CostDomain::Driver);
-        let r = if self.multi_nic() {
-            let intr = self.driver.entry("e1000_intr_dev").unwrap();
-            self.call_dom0(intr, &[self.netdev_of(dev) as u32, dev], 10_000_000)
-        } else {
-            self.call_dom0(handler, &[self.netdev as u32], 10_000_000)
-        };
+        let r = self.call_dom0(handler, &[netdev], 10_000_000);
         self.machine.meter.pop_domain();
         r.map(|_| ())
     }
 
     fn rx_dom0_style(&mut self, on_xen: bool, dev: u32) -> Result<(), SystemError> {
         if on_xen {
-            let xen = self.world.xen.as_mut().expect("xen");
             // Xen routes the physical interrupt to dom0 as an event.
-            xen.send_virq(&mut self.machine, DomId::DOM0, 3);
+            self.world
+                .xen_mut()
+                .send_virq(&mut self.machine, DomId::DOM0, 3);
             let m = &mut self.machine;
             m.meter
                 .charge_to(CostDomain::Xen, m.cost.paravirt_tax_per_packet);
@@ -3762,11 +3734,10 @@ impl System {
         self.dispatch_dom0_irq(dev)
     }
 
-    fn rx_baseline_guest(&mut self, devs: &[u32]) -> Result<(), SystemError> {
-        let gid = self.guest.expect("guest");
+    fn rx_baseline_guest(&mut self, gid: DomId, devs: &[u32]) -> Result<(), SystemError> {
         // Interrupts arrive while the guest runs: one event per raising
         // NIC, but a single switch to dom0 covers the whole pass.
-        let xen = self.world.xen.as_mut().expect("xen");
+        let xen = self.world.xen_mut();
         for _ in devs {
             xen.send_virq(&mut self.machine, DomId::DOM0, 3);
         }
@@ -3774,22 +3745,20 @@ impl System {
         for &dev in devs {
             self.dispatch_dom0_irq(dev)?;
         }
-        self.forward_bridged_frames()?;
-        let xen = self.world.xen.as_mut().unwrap();
-        xen.switch_to(&mut self.machine, gid);
+        self.forward_bridged_frames(gid)?;
+        self.world.xen_mut().switch_to(&mut self.machine, gid);
         Ok(())
     }
 
     /// Pushes frames the bridge queued toward the backend through the
-    /// I/O channel into the guest (baseline path, running in dom0):
+    /// I/O channel into guest `gid` (baseline path, running in dom0):
     /// grants and copies stay per-packet, the guest is notified once for
     /// the whole batch, and its stack pays the full wakeup cost only for
     /// the first frame.
-    fn forward_bridged_frames(&mut self) -> Result<(), SystemError> {
-        let gid = self.guest.expect("guest");
+    fn forward_bridged_frames(&mut self, gid: DomId) -> Result<(), SystemError> {
         let frames: Vec<Frame> = self.world.kernel.rx_delivered.drain(..).collect();
         let batched = !frames.is_empty();
-        let mut zc_occ: BTreeMap<u32, usize> = BTreeMap::new();
+        let mut zc_occ = ZcOccupancy::new();
         for (i, f) in frames.into_iter().enumerate() {
             let dev = self.rx_flow_dev.get(&f.flow).copied().unwrap_or(0);
             {
@@ -3801,24 +3770,12 @@ impl System {
             // Zero-copy: the frame lands straight in the guest's granted
             // RX pool — a warm pool page costs one cached grant access
             // instead of a grant-copy bracketed by map/unmap.
-            let zc_hit = if self.zero_copy {
-                let slot = *zc_occ.get(&f.flow).unwrap_or(&0);
-                let hit = self.zc_access(gid, f.flow, false, slot, f.len(), dev);
-                if hit {
-                    *zc_occ.entry(f.flow).or_insert(0) += 1;
-                }
-                hit
-            } else {
-                false
-            };
-            if !zc_hit {
-                {
-                    let m = &mut self.machine;
-                    // Grant-copy of the packet into guest memory.
-                    let c = m.cost.copy_cycles(f.len() as u64);
-                    m.meter.charge_to(CostDomain::Dom0, c);
-                }
-                let xen = self.world.xen.as_mut().unwrap();
+            if !self.zc_access(&mut zc_occ, gid, &f, false, dev) {
+                // Grant-copy of the packet into guest memory.
+                let m = &mut self.machine;
+                let c = m.cost.copy_cycles(f.len() as u64);
+                m.meter.charge_to(CostDomain::Dom0, c);
+                let xen = self.world.xen_mut();
                 xen.grant_map_dev(&mut self.machine, dev);
                 xen.grant_unmap_dev(&mut self.machine, dev);
                 xen.note_grant_copy(Some(dev));
@@ -3834,25 +3791,18 @@ impl System {
                 };
                 m.meter.charge_to(CostDomain::DomU, stack);
             }
-            let xen = self.world.xen.as_mut().unwrap();
-            xen.domain_mut(gid).rx_delivered.push(f);
+            self.world.xen_mut().domain_mut(gid).rx_delivered.push(f);
         }
         if batched {
-            let xen = self.world.xen.as_mut().unwrap();
-            xen.send_virq(&mut self.machine, gid, 4);
+            self.world.xen_mut().send_virq(&mut self.machine, gid, 4);
         }
         Ok(())
     }
 
-    fn rx_twin(&mut self, devs: &[u32]) -> Result<(), SystemError> {
-        self.rx_twin_reap(devs)?;
-        self.flush_guest_rx_queues()
-    }
-
-    /// The interrupt half of [`System::rx_twin`]: per-NIC dispatch and
-    /// descriptor reap into the per-guest queues, without the demux
-    /// flush — so the open-loop harness can model a per-arrival ISR
-    /// whose consumer (the flush) runs only when the CPU gets a gap.
+    /// The TwinDrivers reap: per-NIC interrupt dispatch and descriptor
+    /// reap into the per-guest queues, without the demux flush — so the
+    /// open-loop harness can model a per-arrival ISR whose consumer (the
+    /// flush) runs only when the CPU gets a gap.
     fn rx_twin_reap(&mut self, devs: &[u32]) -> Result<(), SystemError> {
         // The hypervisor takes each NIC's interrupt directly and runs the
         // hypervisor driver's handler in softirq context (paper §4.4) —
@@ -3868,11 +3818,11 @@ impl System {
             if self.machine.trace.enabled() {
                 self.machine.trace_event(TraceEvent::IrqDelivered { dev });
             }
-            let xen = self.world.xen.as_mut().expect("xen");
-            xen.raise_softirq(Softirq::DriverIrq { nic: dev });
+            self.world
+                .xen_mut()
+                .raise_softirq(Softirq::DriverIrq { nic: dev });
         }
-        let multi = self.multi_nic();
-        let work = self.world.xen.as_mut().unwrap().take_runnable_softirqs();
+        let work = self.world.xen_mut().take_runnable_softirqs();
         for w in work {
             let nic = match w {
                 // A poll softirq raised while an interrupt pass is in
@@ -3902,21 +3852,8 @@ impl System {
                     continue;
                 }
             };
-            let (intr, args) = if multi {
-                (
-                    self.hyperdrv.as_ref().unwrap().intr_dev_entry().unwrap(),
-                    vec![self.netdev_of(nic) as u32, nic],
-                )
-            } else {
-                (
-                    self.hyperdrv.as_ref().unwrap().entry("e1000_intr").unwrap(),
-                    vec![self.netdev as u32],
-                )
-            };
-            self.machine.meter.push_domain(CostDomain::Driver);
-            let r = self.call_hyperdrv(intr, &args, 20_000_000, nic);
-            self.machine.meter.pop_domain();
-            r?;
+            let args = [self.netdev_of(nic) as u32];
+            self.call_driver(Routine::Intr, nic, &args, 20_000_000)?;
         }
         Ok(())
     }
@@ -3946,7 +3883,7 @@ impl System {
         // Zero-copy pool occupancy per (guest, flow) across the whole
         // flush: each landed frame takes the next slot of its flow's
         // index ring, and the ring recycles when the flush completes.
-        let mut zc_occ: BTreeMap<(u32, u32), usize> = BTreeMap::new();
+        let mut zc_occ = ZcOccupancy::new();
         let mut round = 0usize;
         while self.flush_rx_round_with(round, &mut woken, &mut zc_occ)? > 0 {
             round += 1;
@@ -3955,9 +3892,8 @@ impl System {
     }
 
     /// One standalone DRR flush round — the open-loop consumer's unit
-    /// of work between arrivals. Unlike the rounds inside
-    /// [`System::flush_guest_rx_queues`], each standalone round is its
-    /// own scheduling pass: the first frame per guest pays the full
+    /// of work between arrivals. Unlike the rounds of a full flush,
+    /// each standalone round is its own scheduling pass: the first frame per guest pays the full
     /// wakeup cost again. Returns the frames delivered this round.
     ///
     /// # Errors
@@ -3966,22 +3902,20 @@ impl System {
     pub fn flush_rx_round(&mut self) -> Result<usize, SystemError> {
         self.rx_flush_log.clear();
         let mut woken: Vec<DomId> = Vec::new();
-        let mut zc_occ: BTreeMap<(u32, u32), usize> = BTreeMap::new();
-        self.flush_rx_round_with(0, &mut woken, &mut zc_occ)
+        self.flush_rx_round_with(0, &mut woken, &mut ZcOccupancy::new())
     }
 
     fn flush_rx_round_with(
         &mut self,
         round: usize,
         woken: &mut Vec<DomId>,
-        zc_occ: &mut BTreeMap<(u32, u32), usize>,
+        zc_occ: &mut ZcOccupancy,
     ) -> Result<usize, SystemError> {
         let quantum = self.rx_flush_quantum.max(1);
-        let guest_ids: Vec<DomId> = self
-            .world
-            .xen
-            .as_ref()
-            .unwrap()
+        let Some(xen) = self.world.xen.as_ref() else {
+            return Ok(0);
+        };
+        let guest_ids: Vec<DomId> = xen
             .domains
             .iter()
             .filter(|d| !d.rx_queue.is_empty())
@@ -4005,20 +3939,9 @@ impl System {
             *deficit = deficit.saturating_add(quantum as u64 * w);
             let deficit_at_serve = *deficit;
             let budget = usize::try_from(*deficit).unwrap_or(usize::MAX);
-            let frames: Vec<Frame> = {
-                let xen = self.world.xen.as_mut().unwrap();
-                let queue = &mut xen.domain_mut(g).rx_queue;
-                let take = queue.len().min(budget);
-                queue.drain(..take).collect()
-            };
-            let emptied = self
-                .world
-                .xen
-                .as_ref()
-                .unwrap()
-                .domain(g)
-                .rx_queue
-                .is_empty();
+            let queue = &mut self.world.xen_mut().domain_mut(g).rx_queue;
+            let frames: Vec<Frame> = queue.drain(..queue.len().min(budget)).collect();
+            let emptied = queue.is_empty();
             let d = self.drr_deficit.get_mut(&g.0).expect("deficit entry");
             if emptied {
                 *d = 0;
@@ -4033,8 +3956,7 @@ impl System {
                     granted: frames.len() as u32,
                 });
             }
-            let xen = self.world.xen.as_mut().unwrap();
-            xen.send_virq(&mut self.machine, g, 4);
+            self.world.xen_mut().send_virq(&mut self.machine, g, 4);
             self.rx_flush_log.push((round, g, frames.len()));
             let first_wake = !woken.contains(&g);
             if first_wake {
@@ -4061,32 +3983,15 @@ impl System {
                 // Zero-copy: the twin driver posted a pool page for
                 // this slot, so delivery is a cached grant access
                 // instead of a copy into the guest.
-                let zc_hit = if self.zero_copy {
-                    let slot = *zc_occ.get(&(g.0, f.flow)).unwrap_or(&0);
-                    let hit = self.zc_access(g, f.flow, false, slot, f.len(), dev);
-                    if hit {
-                        *zc_occ.entry((g.0, f.flow)).or_insert(0) += 1;
-                    }
-                    hit
-                } else {
-                    false
-                };
-                if !zc_hit {
-                    {
-                        let m = &mut self.machine;
-                        let c = m.cost.copy_cycles(f.len() as u64);
-                        m.meter.charge_to(CostDomain::Xen, c);
-                    }
-                    if let Some(xen) = self.world.xen.as_mut() {
-                        xen.note_grant_copy(Some(dev));
-                    }
+                if !self.zc_access(zc_occ, g, &f, false, dev) {
+                    let m = &mut self.machine;
+                    let c = m.cost.copy_cycles(f.len() as u64);
+                    m.meter.charge_to(CostDomain::Xen, c);
+                    self.world.xen_mut().note_grant_copy(Some(dev));
                 }
                 {
                     let m = &mut self.machine;
                     m.meter.charge_to(CostDomain::Xen, m.cost.twin_glue_rx);
-                }
-                {
-                    let m = &mut self.machine;
                     m.meter.charge_to(CostDomain::DomU, m.cost.pv_driver_guest);
                     let stack = if i == 0 && first_wake {
                         m.cost.tcp_rx_per_packet
@@ -4095,8 +4000,7 @@ impl System {
                     };
                     m.meter.charge_to(CostDomain::DomU, stack);
                 }
-                let xen = self.world.xen.as_mut().unwrap();
-                xen.domain_mut(g).rx_delivered.push(f);
+                self.world.xen_mut().domain_mut(g).rx_delivered.push(f);
             }
         }
         Ok(flushed)
@@ -4114,18 +4018,9 @@ impl System {
 
     /// Frames fully delivered to the measured receive endpoint.
     pub fn delivered_rx(&self) -> usize {
-        match self.config {
-            Config::NativeLinux | Config::XenDom0 => self.world.kernel.rx_delivered.len(),
-            Config::XenGuest | Config::TwinDrivers => {
-                let gid = self.guest.expect("guest");
-                self.world
-                    .xen
-                    .as_ref()
-                    .unwrap()
-                    .domain(gid)
-                    .rx_delivered
-                    .len()
-            }
+        match self.backend {
+            Backend::Dom0 { .. } => self.world.kernel.rx_delivered.len(),
+            Backend::Bridged { gid } | Backend::Twin { gid, .. } => self.delivered_rx_for(gid),
         }
     }
 
@@ -4223,7 +4118,7 @@ impl System {
         let mut got = 0u64;
         while got < packets {
             let n = burst.min((packets - got) as usize);
-            let frames: Vec<Frame> = (0..n).map(|_| self.next_rx_frame()).collect();
+            let frames: Vec<Frame> = (0..n).map(|_| self.next_frame(true)).collect();
             got += self.receive_burst(&frames)? as u64;
         }
         Ok(self.burst_measurement(burst, got))
@@ -4382,7 +4277,7 @@ impl System {
             }
             let frames: Vec<Frame> = (0..n)
                 .map(|_| {
-                    let mut f = self.next_rx_frame();
+                    let mut f = self.next_frame(true);
                     if !balanced.is_empty() {
                         f.flow = balanced[(f.seq % balanced.len() as u64) as usize];
                     }

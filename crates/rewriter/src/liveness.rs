@@ -1,7 +1,7 @@
 //! Register liveness analysis over module text.
 //!
 //! The paper's rewriter needs scratch registers for the SVM fast path and
-//! "avoid[s] the cost of spilling registers most of the time by doing a
+//! "avoid\[s\] the cost of spilling registers most of the time by doing a
 //! register liveness analysis to determine the set of free registers
 //! available at each instruction" (§4.1, footnote 3). This module computes
 //! the classic backward may-live dataflow over the whole instruction

@@ -10,7 +10,7 @@ pub fn vec<S: Strategy>(element: S, len: Range<usize>) -> VecStrategy<S> {
     VecStrategy { element, len }
 }
 
-/// The backend of [`vec`].
+/// The backend of [`vec()`].
 #[derive(Clone, Debug)]
 pub struct VecStrategy<S> {
     element: S,

@@ -81,39 +81,6 @@ impl HypervisorDriver {
         self.entries.get(name).copied()
     }
 
-    /// The burst transmit entry point (`e1000_xmit_batch`): one
-    /// hypervisor-driver invocation places a whole burst of frames with a
-    /// single TX-lock acquisition and a single `TDT` doorbell.
-    pub fn xmit_batch_entry(&self) -> Option<u64> {
-        self.entry("e1000_xmit_batch")
-    }
-
-    /// The polled receive entry point (`e1000_poll_rx_batch`): reaps
-    /// every filled RX descriptor in one pass without an `ICR` read, for
-    /// use under the hypervisor's coalesced softirq.
-    pub fn poll_rx_batch_entry(&self) -> Option<u64> {
-        self.entry("e1000_poll_rx_batch")
-    }
-
-    /// Device-id-taking burst transmit entry (`e1000_xmit_batch_dev`):
-    /// like [`HypervisorDriver::xmit_batch_entry`] but with a trailing
-    /// device id selecting the per-NIC adapter slot (multi-NIC sharding).
-    pub fn xmit_batch_dev_entry(&self) -> Option<u64> {
-        self.entry("e1000_xmit_batch_dev")
-    }
-
-    /// Device-id-taking polled receive entry (`e1000_poll_rx_batch_dev`).
-    pub fn poll_rx_batch_dev_entry(&self) -> Option<u64> {
-        self.entry("e1000_poll_rx_batch_dev")
-    }
-
-    /// Device-id-taking interrupt handler entry (`e1000_intr_dev`): the
-    /// softirq dispatcher passes the raising NIC's id so each device's
-    /// descriptors are reaped through its own adapter slot.
-    pub fn intr_dev_entry(&self) -> Option<u64> {
-        self.entry("e1000_intr_dev")
-    }
-
     /// Code range `(base, end)` for call-translation validation.
     pub fn code_range(&self) -> (u64, u64) {
         (

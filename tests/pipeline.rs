@@ -50,7 +50,7 @@ fn both_instances_share_one_copy_of_driver_data() {
 
     // And the VM instance reads them through its own entry point.
     let get_stats = sys.driver.entry("e1000_get_stats").unwrap();
-    let netdev = sys.netdev as u32;
+    let netdev = sys.netdevs[0] as u32;
     let stats_ptr = twindrivers::kernel::call_function(
         &mut sys.machine,
         &mut sys.world,

@@ -186,3 +186,44 @@ fn iommu_blocks_rogue_dma() {
     assert!(matches!(err, twin_machine::Fault::EnvFault(_)));
     assert_eq!(sys.world.iommu.as_ref().unwrap().blocked, 1);
 }
+
+/// The IOMMU guards the hypervisor driver's DMA; a configuration without
+/// one must refuse the option instead of building unguarded.
+#[test]
+fn iommu_requires_the_twindrivers_config() {
+    let opts = SystemOptions {
+        iommu: true,
+        ..SystemOptions::default()
+    };
+    for config in [Config::NativeLinux, Config::XenDom0, Config::XenGuest] {
+        match System::build_with(config, &opts) {
+            Err(SystemError::Build(msg)) => assert!(msg.contains("iommu"), "{config}: {msg}"),
+            other => panic!("{config}: iommu must be refused, got {other:?}"),
+        }
+    }
+}
+
+/// A driver that lacks an entry point the system calls fails the build
+/// with an error naming it, instead of building and panicking on the
+/// first multi-NIC transmit burst.
+#[test]
+fn missing_driver_entry_fails_the_build_naming_it() {
+    let src = e1000::source().replace("e1000_xmit_batch_dev", "e1000_xmit_batch_dev_renamed");
+    let opts = SystemOptions {
+        driver_source: Some(src),
+        num_nics: 2,
+        ..SystemOptions::default()
+    };
+    for config in [Config::TwinDrivers, Config::NativeLinux] {
+        match System::build_with(config, &opts) {
+            Err(SystemError::Build(msg)) => {
+                assert!(msg.contains("`e1000_xmit_batch_dev`"), "{config}: {msg}");
+            }
+            Err(e) => panic!("{config}: expected a build error, got {e}"),
+            Ok(mut sys) => panic!(
+                "{config}: built without the entry; first burst: {:?}",
+                sys.transmit_burst(8)
+            ),
+        }
+    }
+}

@@ -6,7 +6,7 @@
 
 use twin_net::{EtherType, Frame, MacAddr, MTU};
 use twindrivers::{
-    measure_aggregate_throughput, peer_mac, Config, ShardPolicy, System, SystemOptions,
+    measure_aggregate_throughput, peer_mac, Config, ShardPolicy, System, SystemError, SystemOptions,
 };
 
 fn zc_opts(nics: usize, zero_copy: bool) -> SystemOptions {
@@ -26,6 +26,25 @@ fn frame_to(mac: MacAddr, flow: u32, seq: u64) -> Frame {
         payload_len: MTU,
         flow,
         seq,
+    }
+}
+
+/// Zero-copy pools are a guest's; the configurations where dom0 itself
+/// is the endpoint must refuse the option rather than report it active.
+#[test]
+fn zero_copy_requires_a_guest_configuration() {
+    for config in [Config::NativeLinux, Config::XenDom0] {
+        match System::build_with(config, &zc_opts(1, true)) {
+            Err(SystemError::Build(msg)) => assert!(msg.contains("zero_copy"), "{config}: {msg}"),
+            other => panic!(
+                "{config}: zero_copy must be refused, got {:?}",
+                other.map(|s| s.zero_copy())
+            ),
+        }
+    }
+    for config in [Config::XenGuest, Config::TwinDrivers] {
+        let sys = System::build_with(config, &zc_opts(1, true)).expect("guest configs build");
+        assert!(sys.zero_copy());
     }
 }
 
