@@ -137,7 +137,7 @@ where
         } else if let Some(a) = extra(&r.symbol) {
             a
         } else {
-            return Err(LoadError::Link(LinkError {
+            return Err(LoadError::Link(LinkError::Unresolved {
                 symbol: r.symbol.clone(),
                 module: module.name.clone(),
             }));
@@ -152,7 +152,7 @@ where
         data_base,
         data_symbols,
         entries,
-        text_len: m.image(image).insns.len(),
+        text_len: m.image(image).ops.len(),
     })
 }
 

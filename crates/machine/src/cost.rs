@@ -401,6 +401,12 @@ impl CycleMeter {
         self.insns += 1;
     }
 
+    /// Counts `n` executed instructions at once.
+    #[inline]
+    pub(crate) fn count_insns(&mut self, n: u64) {
+        self.insns += n;
+    }
+
     /// Total executed instructions.
     pub fn insns(&self) -> u64 {
         self.insns

@@ -1,49 +1,72 @@
 //! Loaded code images and symbol resolution (linking).
 
+use crate::op::{self, Op};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use twin_isa::{Insn, MemRef, Module, Operand, Target, INSN_SIZE};
+use std::sync::Arc;
+use twin_isa::{Module, INSN_SIZE};
 
 /// Identifier of a loaded code image.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ImageId(pub usize);
 
-/// Error produced when a module cannot be linked.
+/// Error produced when a module cannot be linked or placed.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct LinkError {
-    /// The symbol that could not be resolved.
-    pub symbol: String,
-    /// Module being linked.
-    pub module: String,
+pub enum LinkError {
+    /// A referenced symbol could not be resolved.
+    Unresolved {
+        /// The symbol that could not be resolved.
+        symbol: String,
+        /// Module being linked.
+        module: String,
+    },
+    /// The code would overlap the extern-trampoline window
+    /// `[EXTERN_BASE, RETURN_SENTINEL]`, where every pc is dispatched as
+    /// an extern call or a return, so the code could never run.
+    TrampolineWindow {
+        /// Module being loaded.
+        module: String,
+        /// Requested code base.
+        base: u64,
+        /// End of the code (exclusive).
+        end: u64,
+    },
 }
 
 impl fmt::Display for LinkError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unresolved symbol `{}` while linking module `{}`",
-            self.symbol, self.module
-        )
+        match self {
+            LinkError::Unresolved { symbol, module } => write!(
+                f,
+                "unresolved symbol `{symbol}` while linking module `{module}`"
+            ),
+            LinkError::TrampolineWindow { module, base, end } => write!(
+                f,
+                "module `{module}` at [{base:#x}, {end:#x}) overlaps the extern-trampoline window"
+            ),
+        }
     }
 }
 
 impl Error for LinkError {}
 
-/// A fully linked code image: instructions with all symbols resolved to
+/// A fully linked code image: lowered ops with all symbols resolved to
 /// absolute addresses, placed at `base`.
 ///
-/// Instruction `i` occupies addresses `[base + i*INSN_SIZE, base +
-/// (i+1)*INSN_SIZE)`. Exports map global label names to their absolute
-/// addresses.
+/// Op `i` occupies addresses `[base + i*INSN_SIZE, base + (i+1)*INSN_SIZE)`.
+/// Exports map global label names to their absolute addresses.
 #[derive(Clone, Debug)]
 pub struct CodeImage {
     /// Image (module) name.
     pub name: String,
     /// Base code address.
     pub base: u64,
-    /// Resolved instruction stream.
-    pub insns: Vec<Insn>,
+    /// The lowered code, one op per instruction of the module's text.
+    pub ops: Arc<[Op]>,
+    /// Block-end table: entry `i` is one past the last op of the basic
+    /// block starting at op `i`.
+    pub(crate) block_end: Arc<[u32]>,
     /// Exported label name → absolute address.
     pub exports: BTreeMap<String, u64>,
 }
@@ -52,18 +75,27 @@ impl CodeImage {
     /// Whether `pc` falls inside this image.
     #[inline]
     pub fn contains(&self, pc: u64) -> bool {
-        pc >= self.base && pc < self.base + self.insns.len() as u64 * INSN_SIZE
+        pc >= self.base && pc < self.end()
     }
 
-    /// The instruction at code address `pc`.
+    /// Index of the op at code address `pc`.
     ///
     /// Returns `None` if `pc` is outside the image or unaligned.
     #[inline]
-    pub fn fetch(&self, pc: u64) -> Option<&Insn> {
-        if !self.contains(pc) || (pc - self.base) % INSN_SIZE != 0 {
+    pub(crate) fn index(&self, pc: u64) -> Option<usize> {
+        let off = pc.checked_sub(self.base)?;
+        if off % INSN_SIZE != 0 || off / INSN_SIZE >= self.ops.len() as u64 {
             return None;
         }
-        self.insns.get(((pc - self.base) / INSN_SIZE) as usize)
+        Some((off / INSN_SIZE) as usize)
+    }
+
+    /// The op at code address `pc`.
+    ///
+    /// Returns `None` if `pc` is outside the image or unaligned.
+    #[inline]
+    pub fn fetch(&self, pc: u64) -> Option<&Op> {
+        self.index(pc).map(|i| &self.ops[i])
     }
 
     /// Address of an exported symbol.
@@ -72,18 +104,29 @@ impl CodeImage {
     }
 
     /// End address (exclusive).
+    #[inline]
     pub fn end(&self) -> u64 {
-        self.base + self.insns.len() as u64 * INSN_SIZE
+        self.base + self.ops.len() as u64 * INSN_SIZE
+    }
+
+    /// Number of Figure 4 SVM sequences lowered to one fused op.
+    pub fn svm_checks(&self) -> usize {
+        self.ops
+            .iter()
+            .filter(|op| matches!(op, Op::SvmCheck(_)))
+            .count()
     }
 }
 
 /// Links `module` at `code_base`: local labels become absolute code
 /// addresses; all other symbols (data symbols, externs, cross-module
-/// references) are resolved through `resolve`.
+/// references) are resolved through `resolve`. Each instruction is
+/// lowered to an [`Op`], Figure 4 sequences are fused, and the block-end
+/// table is built.
 ///
 /// # Errors
 ///
-/// Returns [`LinkError`] naming the first unresolvable symbol.
+/// Returns [`LinkError::Unresolved`] naming the first unresolvable symbol.
 pub fn link<F>(module: &Module, code_base: u64, mut resolve: F) -> Result<CodeImage, LinkError>
 where
     F: FnMut(&str) -> Option<u64>,
@@ -97,16 +140,19 @@ where
     let mut lookup = |name: &str| -> Result<u64, LinkError> {
         label_addr(name)
             .or_else(|| resolve(name))
-            .ok_or_else(|| LinkError {
+            .ok_or_else(|| LinkError::Unresolved {
                 symbol: name.to_string(),
                 module: module.name.clone(),
             })
     };
 
-    let mut insns = Vec::with_capacity(module.text.len());
-    for insn in &module.text {
-        insns.push(resolve_insn(insn, &mut lookup)?);
-    }
+    let mut ops = module
+        .text
+        .iter()
+        .map(|insn| op::lower_insn(insn, &mut lookup))
+        .collect::<Result<Vec<Op>, LinkError>>()?;
+    op::fuse(&mut ops);
+    let block_end = op::block_ends(&ops).into();
 
     let mut exports = BTreeMap::new();
     for (name, idx) in &module.labels {
@@ -116,123 +162,18 @@ where
     Ok(CodeImage {
         name: module.name.clone(),
         base: code_base,
-        insns,
+        ops: ops.into(),
+        block_end,
         exports,
-    })
-}
-
-fn resolve_mem<F>(m: &MemRef, lookup: &mut F) -> Result<MemRef, LinkError>
-where
-    F: FnMut(&str) -> Result<u64, LinkError>,
-{
-    let mut out = m.clone();
-    if let Some(sym) = out.sym.take() {
-        let addr = lookup(&sym)?;
-        out.disp = out.disp.wrapping_add(addr as i64);
-    }
-    Ok(out)
-}
-
-fn resolve_operand<F>(o: &Operand, lookup: &mut F) -> Result<Operand, LinkError>
-where
-    F: FnMut(&str) -> Result<u64, LinkError>,
-{
-    Ok(match o {
-        Operand::Sym(name, off) => Operand::Imm(lookup(name)? as i64 + off),
-        Operand::Mem(m) => Operand::Mem(resolve_mem(m, lookup)?),
-        other => other.clone(),
-    })
-}
-
-fn resolve_target<F>(t: &Target, lookup: &mut F) -> Result<Target, LinkError>
-where
-    F: FnMut(&str) -> Result<u64, LinkError>,
-{
-    Ok(match t {
-        Target::Label(name) => Target::Abs(lookup(name)?),
-        Target::Mem(m) => Target::Mem(resolve_mem(m, lookup)?),
-        other => other.clone(),
-    })
-}
-
-fn resolve_insn<F>(insn: &Insn, lookup: &mut F) -> Result<Insn, LinkError>
-where
-    F: FnMut(&str) -> Result<u64, LinkError>,
-{
-    Ok(match insn {
-        Insn::Mov { w, dst, src } => Insn::Mov {
-            w: *w,
-            dst: resolve_operand(dst, lookup)?,
-            src: resolve_operand(src, lookup)?,
-        },
-        Insn::Movzx { w, dst, src } => Insn::Movzx {
-            w: *w,
-            dst: *dst,
-            src: resolve_operand(src, lookup)?,
-        },
-        Insn::Movsx { w, dst, src } => Insn::Movsx {
-            w: *w,
-            dst: *dst,
-            src: resolve_operand(src, lookup)?,
-        },
-        Insn::Lea { dst, mem } => Insn::Lea {
-            dst: *dst,
-            mem: resolve_mem(mem, lookup)?,
-        },
-        Insn::Alu { op, w, dst, src } => Insn::Alu {
-            op: *op,
-            w: *w,
-            dst: resolve_operand(dst, lookup)?,
-            src: resolve_operand(src, lookup)?,
-        },
-        Insn::Shift { op, dst, amount } => Insn::Shift {
-            op: *op,
-            dst: resolve_operand(dst, lookup)?,
-            amount: resolve_operand(amount, lookup)?,
-        },
-        Insn::Cmp { w, src, dst } => Insn::Cmp {
-            w: *w,
-            src: resolve_operand(src, lookup)?,
-            dst: resolve_operand(dst, lookup)?,
-        },
-        Insn::Test { w, src, dst } => Insn::Test {
-            w: *w,
-            src: resolve_operand(src, lookup)?,
-            dst: resolve_operand(dst, lookup)?,
-        },
-        Insn::Un { op, w, dst } => Insn::Un {
-            op: *op,
-            w: *w,
-            dst: resolve_operand(dst, lookup)?,
-        },
-        Insn::Imul { dst, src } => Insn::Imul {
-            dst: *dst,
-            src: resolve_operand(src, lookup)?,
-        },
-        Insn::Push { src } => Insn::Push {
-            src: resolve_operand(src, lookup)?,
-        },
-        Insn::Pop { dst } => Insn::Pop {
-            dst: resolve_operand(dst, lookup)?,
-        },
-        Insn::Jmp { target } => Insn::Jmp {
-            target: resolve_target(target, lookup)?,
-        },
-        Insn::Jcc { cond, target } => Insn::Jcc {
-            cond: *cond,
-            target: resolve_target(target, lookup)?,
-        },
-        Insn::Call { target } => Insn::Call {
-            target: resolve_target(target, lookup)?,
-        },
-        other => other.clone(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::{Arg, Jump};
     use twin_isa::asm::assemble;
+    use twin_isa::Reg;
 
     #[test]
     fn links_labels_and_data_syms() {
@@ -254,20 +195,16 @@ mod tests {
         assert_eq!(img.export("f"), Some(0x1000));
         assert_eq!(img.export("g"), Some(0x1000 + 3 * INSN_SIZE));
         // movl counter -> absolute disp
-        match &img.insns[0] {
-            Insn::Mov {
-                src: Operand::Mem(mem),
-                ..
-            } => {
-                assert_eq!(mem.disp, 0x2000_0000);
-                assert!(mem.sym.is_none());
-            }
+        match img.ops[0] {
+            Op::Mov {
+                src: Arg::Mem(ea), ..
+            } => assert_eq!(ea.disp, 0x2000_0000),
             other => panic!("unexpected {other:?}"),
         }
-        match &img.insns[1] {
-            Insn::Call {
-                target: Target::Abs(a),
-            } => assert_eq!(*a, 0x1000 + 3 * INSN_SIZE),
+        match img.ops[1] {
+            Op::Call {
+                target: Jump::Abs(a),
+            } => assert_eq!(a, 0x1000 + 3 * INSN_SIZE),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -276,7 +213,7 @@ mod tests {
     fn unresolved_symbol_errors() {
         let m = assemble("t", ".text\nf:\n call missing\n").unwrap();
         let e = link(&m, 0, |_| None).unwrap_err();
-        assert_eq!(e.symbol, "missing");
+        assert!(matches!(&e, LinkError::Unresolved { symbol, .. } if symbol == "missing"));
         assert!(e.to_string().contains("missing"));
     }
 
@@ -288,7 +225,64 @@ mod tests {
         assert!(img.contains(0x100 + 2 * INSN_SIZE));
         assert!(!img.contains(0x100 + 3 * INSN_SIZE));
         assert!(img.fetch(0x100 + 1).is_none(), "unaligned fetch");
-        assert!(matches!(img.fetch(0x100 + 2 * INSN_SIZE), Some(Insn::Ret)));
+        assert!(matches!(img.fetch(0x100 + 2 * INSN_SIZE), Some(Op::Ret)));
         assert_eq!(img.end(), 0x100 + 3 * INSN_SIZE);
+    }
+
+    /// The Figure 4 sequence as the rewriter emits it, with `%ecx`/`%edx`
+    /// scratch and the translated address in `%eax`.
+    const FIG4: &str = "
+        lea 8(%ebx), %ecx
+        movl %ecx, %eax
+        andl $0xfffff000, %ecx
+        movl %ecx, %edx
+        andl $0x00fff000, %ecx
+        shrl $9, %ecx
+        cmpl stlb(,%ecx,1), %edx
+        jne slow
+        xorl stlb+4(,%ecx,1), %eax
+    ";
+
+    fn linked(body: &str) -> CodeImage {
+        let src = format!(".text\nf:\n{body}\n movl (%eax), %eax\n ret\nslow:\n jmp f\n");
+        let m = assemble("t", &src).unwrap();
+        link(&m, 0x1000, |s| (s == "stlb").then_some(0xf100_0000)).unwrap()
+    }
+
+    #[test]
+    fn figure4_sequence_is_fused_with_its_constants() {
+        let img = linked(FIG4);
+        assert_eq!(img.svm_checks(), 1);
+        let Op::SvmCheck(c) = img.ops[0] else {
+            panic!("not fused: {:?}", img.ops[0]);
+        };
+        assert_eq!((c.s1, c.s2, c.out), (Reg::Ecx, Reg::Edx, Reg::Eax));
+        assert_eq!(
+            (c.page_mask, c.index_mask, c.shift),
+            (0xffff_f000, 0x00ff_f000, 9)
+        );
+        assert_eq!(c.stlb, 0xf100_0000);
+        assert_eq!(c.slow, 0x1000 + 11 * INSN_SIZE);
+        // The other parts stay ordinary ops, for entry part-way.
+        assert!(matches!(img.ops[1], Op::Mov { .. }));
+        // One block runs the sequence, the load and the `ret`.
+        assert_eq!(
+            &img.block_end[..],
+            &[11, 8, 8, 8, 8, 8, 8, 8, 11, 11, 11, 12]
+        );
+    }
+
+    #[test]
+    fn a_changed_shape_is_not_fused() {
+        let variants = [
+            FIG4.replace("jne slow", "je slow"),
+            FIG4.replace("stlb+4(", "stlb+8("),
+            FIG4.replace("movl %ecx, %edx", "movl %ebx, %edx"),
+            FIG4.replace("cmpl stlb(,%ecx,1)", "cmpl stlb(,%ecx,2)"),
+            FIG4.replace("shrl $9", "shll $9"),
+        ];
+        for body in variants {
+            assert_eq!(linked(&body).svm_checks(), 0, "{body}");
+        }
     }
 }

@@ -13,12 +13,13 @@
 //!   stub (paper §4.2).
 
 use crate::image::CodeImage;
+use crate::op::{Arg, Jump, Op, SvmCheck};
 use crate::space::{PageKind, SpaceId};
-use crate::{Machine, EXTERN_BASE, PAGE_SIZE, RETURN_SENTINEL};
+use crate::{extern_slot, Machine, EXTERN_BASE, PAGE_SIZE, RETURN_SENTINEL};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use twin_isa::{AluOp, Cond, Insn, MemRef, Operand, Reg, Rep, ShiftOp, StrOp, Target, UnOp, Width};
+use twin_isa::{AluOp, Cond, Reg, Rep, ShiftOp, StrOp, UnOp, Width, INSN_SIZE};
 
 /// Privilege mode of the executing CPU.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -295,19 +296,6 @@ impl Env for NullEnv {
 }
 
 #[inline]
-fn ea(cpu: &Cpu, mem: &MemRef) -> u64 {
-    debug_assert!(mem.sym.is_none(), "unlinked memory reference executed");
-    let mut a = mem.disp as u32;
-    if let Some(b) = mem.base {
-        a = a.wrapping_add(cpu.reg(b));
-    }
-    if let Some((i, s)) = mem.index {
-        a = a.wrapping_add(cpu.reg(i).wrapping_mul(s as u32));
-    }
-    a as u64
-}
-
-#[inline]
 fn read_mem(
     m: &mut Machine,
     cpu: &mut Cpu,
@@ -361,16 +349,13 @@ fn read_operand(
     m: &mut Machine,
     cpu: &mut Cpu,
     env: &mut dyn Env,
-    op: &Operand,
+    op: &Arg,
     w: Width,
 ) -> Result<u32, Fault> {
     Ok(match op {
-        Operand::Reg(r) => cpu.reg(*r) & w.mask() as u32,
-        Operand::Imm(v) => (*v as u32) & w.mask() as u32,
-        Operand::Sym(s, _) => {
-            return Err(Fault::EnvFault(format!("unlinked symbol operand `{s}`")))
-        }
-        Operand::Mem(mem) => read_mem(m, cpu, env, ea(cpu, mem), w)? & w.mask() as u32,
+        Arg::Reg(r) => cpu.reg(*r) & w.mask() as u32,
+        Arg::Imm(v) => *v & w.mask() as u32,
+        Arg::Mem(ea) => read_mem(m, cpu, env, ea.addr(cpu), w)? & w.mask() as u32,
     })
 }
 
@@ -379,18 +364,18 @@ fn write_operand(
     m: &mut Machine,
     cpu: &mut Cpu,
     env: &mut dyn Env,
-    op: &Operand,
+    op: &Arg,
     w: Width,
     val: u32,
 ) -> Result<(), Fault> {
     match op {
-        Operand::Reg(r) => {
+        Arg::Reg(r) => {
             cpu.set_reg_w(*r, w, val);
             Ok(())
         }
-        Operand::Mem(mem) => write_mem(m, cpu, env, ea(cpu, mem), w, val),
-        other => Err(Fault::EnvFault(format!(
-            "write to non-lvalue operand `{other:?}`"
+        Arg::Mem(ea) => write_mem(m, cpu, env, ea.addr(cpu), w, val),
+        Arg::Imm(_) => Err(Fault::EnvFault(format!(
+            "write to non-lvalue operand `{op:?}`"
         ))),
     }
 }
@@ -458,25 +443,32 @@ fn cond_true(flags: &Flags, c: Cond) -> bool {
     }
 }
 
-fn target_addr(
-    m: &mut Machine,
-    cpu: &mut Cpu,
-    env: &mut dyn Env,
-    t: &Target,
-) -> Result<u64, Fault> {
+fn target_addr(m: &mut Machine, cpu: &mut Cpu, env: &mut dyn Env, t: &Jump) -> Result<u64, Fault> {
     Ok(match t {
-        Target::Abs(a) => *a,
-        Target::Label(l) => return Err(Fault::EnvFault(format!("unlinked label target `{l}`"))),
-        Target::Reg(r) => cpu.reg(*r) as u64,
-        Target::Mem(mem) => read_mem(m, cpu, env, ea(cpu, mem), Width::Long)? as u64,
+        Jump::Abs(a) => *a,
+        Jump::Reg(r) => cpu.reg(*r) as u64,
+        Jump::Mem(ea) => read_mem(m, cpu, env, ea.addr(cpu), Width::Long)? as u64,
     })
 }
 
-/// The run loop's view of the loaded images: a shared handle on the
-/// machine's list plus the image that held the last fetch and its code
-/// range, so the list is only scanned when control leaves that range.
+/// Where control went after an op.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+enum Flow {
+    /// On to the next instruction.
+    Next,
+    /// To the target now in `cpu.pc`.
+    Jump,
+    /// `hlt`.
+    Halt,
+}
+
+/// The run loop's view of the loaded code: shared handles on the
+/// machine's images and extern names, plus the image that held the last
+/// fetch and its code range, so the images are only scanned when control
+/// leaves that range.
 struct Fetcher {
     images: Arc<Vec<CodeImage>>,
+    externs: Arc<Vec<Arc<str>>>,
     cur: usize,
     /// `[start, end)` of image `cur`; empty when nothing is cached.
     start: u64,
@@ -487,27 +479,29 @@ impl Fetcher {
     fn new(m: &Machine) -> Fetcher {
         Fetcher {
             images: Arc::clone(&m.images),
+            externs: Arc::clone(&m.extern_names),
             cur: 0,
             start: 0,
             end: 0,
         }
     }
 
-    /// The instruction at `pc`, from the first loaded image containing it.
+    /// The first loaded image containing `pc`, and whether it is cached:
+    /// no earlier image overlaps it, so it holds every pc in its range.
     #[inline]
-    fn fetch(&mut self, m: &Machine, pc: u64) -> Option<&Insn> {
-        let i = if self.start <= pc && pc < self.end {
-            self.cur
-        } else {
-            self.locate(m, pc)?
-        };
-        self.images[i].fetch(pc)
+    fn image(&mut self, m: &Machine, pc: u64) -> Option<(&CodeImage, bool)> {
+        if self.start <= pc && pc < self.end {
+            return Some((&self.images[self.cur], true));
+        }
+        let (i, cached) = self.locate(m, pc)?;
+        Some((&self.images[i], cached))
     }
 
-    /// Scans for the first loaded image containing `pc`. On a miss the
-    /// handle is refreshed from the machine before giving up, which picks
-    /// up an image loaded during a nested run.
-    fn locate(&mut self, m: &Machine, pc: u64) -> Option<usize> {
+    /// Scans for the first loaded image containing `pc`, and caches it if
+    /// no earlier image overlaps it. On a miss the handle is refreshed
+    /// from the machine before giving up, which picks up an image loaded
+    /// during a nested run.
+    fn locate(&mut self, m: &Machine, pc: u64) -> Option<(usize, bool)> {
         let find = |images: &[CodeImage]| images.iter().position(|img| img.contains(pc));
         let i = match find(&self.images) {
             Some(i) => i,
@@ -516,19 +510,34 @@ impl Fetcher {
                 find(&self.images)?
             }
         };
-        // Later fetches may skip the scan only if it would pick image `i`
-        // for every pc inside it: no earlier image overlaps it.
         let (start, end) = (self.images[i].base, self.images[i].end());
         let first = self.images[..i]
             .iter()
             .all(|e| e.end() <= start || e.base >= end);
         (self.cur, self.start, self.end) = if first { (i, start, end) } else { (0, 0, 0) };
-        Some(i)
+        Some((i, first))
+    }
+
+    /// The name of the extern whose trampoline is at `pc`, borrowed from
+    /// this handle (refreshed if the extern was registered during the run).
+    #[inline]
+    fn extern_name(&mut self, m: &Machine, pc: u64) -> Option<&str> {
+        if extern_slot(&self.externs, pc).is_none() {
+            self.externs = Arc::clone(&m.extern_names);
+        }
+        extern_slot(&self.externs, pc)
     }
 }
 
 /// Runs the interpreter until the code returns to the sentinel, halts,
 /// faults, or `max_insns` instructions have executed.
+///
+/// Code runs a basic block at a time: the sentinel, extern, budget and
+/// fetch checks are made once per block, and a fused Figure 4 sequence
+/// ([`SvmCheck`]) runs as one op. A block is stepped one op at a time,
+/// through the same code, when the remaining budget is shorter than the
+/// block or its image is overlapped by an earlier-loaded one. Either way
+/// the effects are those of running the instructions one by one.
 ///
 /// # Errors
 ///
@@ -543,16 +552,14 @@ pub fn run(
     let mut budget = max_insns;
     let mut fetcher = Fetcher::new(m);
     loop {
-        if cpu.pc == RETURN_SENTINEL {
+        let pc = cpu.pc;
+        if pc == RETURN_SENTINEL {
             return Ok(StopReason::Returned);
         }
-        if cpu.pc >= EXTERN_BASE && cpu.pc < RETURN_SENTINEL {
+        if (EXTERN_BASE..RETURN_SENTINEL).contains(&pc) {
             // Extern trampoline: dispatch to the environment, then return.
-            let name = m
-                .extern_at(cpu.pc)
-                .ok_or(Fault::BadFetch { pc: cpu.pc })?
-                .clone();
-            env.extern_call(&name, m, cpu)?;
+            let name = fetcher.extern_name(m, pc).ok_or(Fault::BadFetch { pc })?;
+            env.extern_call(name, m, cpu)?;
             let ret = cpu.pop(m)?;
             cpu.pc = ret as u64;
             continue;
@@ -560,208 +567,297 @@ pub fn run(
         if budget == 0 {
             return Ok(StopReason::Budget);
         }
-        budget -= 1;
+        let (img, cached) = fetcher.image(m, pc).ok_or(Fault::BadFetch { pc })?;
+        let i = img.index(pc).ok_or(Fault::BadFetch { pc })?;
+        let end = img.block_end[i] as usize;
+        let flow = if cached && budget >= (end - i) as u64 {
+            let (ran, flow) = run_block(img, i, end, m, cpu, env)?;
+            budget -= ran;
+            flow
+        } else {
+            budget -= 1;
+            exec(&img.ops[i], m, cpu, env)?
+        };
+        if flow == Flow::Halt {
+            return Ok(StopReason::Halted);
+        }
+    }
+}
 
-        let insn = fetcher
-            .fetch(m, cpu.pc)
-            .ok_or(Fault::BadFetch { pc: cpu.pc })?;
-        m.meter.count_insn();
-        let next_pc = cpu.pc + twin_isa::INSN_SIZE;
-
-        match insn {
-            Insn::Mov { w, dst, src } => {
-                let v = read_operand(m, cpu, env, src, *w)?;
-                let base = m.cost.mov_reg;
-                m.meter.charge(base);
-                write_operand(m, cpu, env, dst, *w, v)?;
-                cpu.pc = next_pc;
-            }
-            Insn::Movzx { w, dst, src } => {
-                let v = read_operand(m, cpu, env, src, *w)?;
-                let base = m.cost.mov_reg;
-                m.meter.charge(base);
-                cpu.set_reg(*dst, v);
-                cpu.pc = next_pc;
-            }
-            Insn::Movsx { w, dst, src } => {
-                let v = read_operand(m, cpu, env, src, *w)?;
-                let bits = w.bytes() * 8;
-                let sext = ((v as i32) << (32 - bits)) >> (32 - bits);
-                let base = m.cost.mov_reg;
-                m.meter.charge(base);
-                cpu.set_reg(*dst, sext as u32);
-                cpu.pc = next_pc;
-            }
-            Insn::Lea { dst, mem } => {
-                let a = ea(cpu, mem);
-                let base = m.cost.mov_reg;
-                m.meter.charge(base);
-                cpu.set_reg(*dst, a as u32);
-                cpu.pc = next_pc;
-            }
-            Insn::Alu { op, w, dst, src } => {
-                let b = read_operand(m, cpu, env, src, *w)?;
-                let a = read_operand(m, cpu, env, dst, *w)?;
-                let r = alu(&mut cpu.flags, *op, a, b, *w);
-                let base = m.cost.alu;
-                m.meter.charge(base);
-                write_operand(m, cpu, env, dst, *w, r)?;
-                cpu.pc = next_pc;
-            }
-            Insn::Shift { op, dst, amount } => {
-                let amt = read_operand(m, cpu, env, amount, Width::Byte)? & 31;
-                let a = read_operand(m, cpu, env, dst, Width::Long)?;
-                let r = match op {
-                    ShiftOp::Shl => {
-                        cpu.flags.cf = amt > 0 && (a >> (32 - amt)) & 1 != 0;
-                        a.wrapping_shl(amt)
-                    }
-                    ShiftOp::Shr => {
-                        cpu.flags.cf = amt > 0 && (a >> (amt - 1)) & 1 != 0;
-                        a.wrapping_shr(amt)
-                    }
-                    ShiftOp::Sar => {
-                        cpu.flags.cf = amt > 0 && ((a as i32) >> (amt - 1)) & 1 != 0;
-                        ((a as i32).wrapping_shr(amt)) as u32
-                    }
-                };
-                cpu.flags.of = false;
-                set_zs(&mut cpu.flags, r, Width::Long);
-                let base = m.cost.alu;
-                m.meter.charge(base);
-                write_operand(m, cpu, env, dst, Width::Long, r)?;
-                cpu.pc = next_pc;
-            }
-            Insn::Cmp { w, src, dst } => {
-                let b = read_operand(m, cpu, env, src, *w)?;
-                let a = read_operand(m, cpu, env, dst, *w)?;
-                alu(&mut cpu.flags, AluOp::Sub, a, b, *w);
-                let base = m.cost.alu;
-                m.meter.charge(base);
-                cpu.pc = next_pc;
-            }
-            Insn::Test { w, src, dst } => {
-                let b = read_operand(m, cpu, env, src, *w)?;
-                let a = read_operand(m, cpu, env, dst, *w)?;
-                alu(&mut cpu.flags, AluOp::And, a, b, *w);
-                let base = m.cost.alu;
-                m.meter.charge(base);
-                cpu.pc = next_pc;
-            }
-            Insn::Un { op, w, dst } => {
-                let a = read_operand(m, cpu, env, dst, *w)?;
-                let mask = w.mask() as u32;
-                let r = match op {
-                    UnOp::Neg => {
-                        cpu.flags.cf = a != 0;
-                        (a.wrapping_neg()) & mask
-                    }
-                    UnOp::Not => !a & mask,
-                    UnOp::Inc => {
-                        let cf = cpu.flags.cf;
-                        let r = alu(&mut cpu.flags, AluOp::Add, a, 1, *w);
-                        cpu.flags.cf = cf; // inc preserves CF like x86
-                        r
-                    }
-                    UnOp::Dec => {
-                        let cf = cpu.flags.cf;
-                        let r = alu(&mut cpu.flags, AluOp::Sub, a, 1, *w);
-                        cpu.flags.cf = cf;
-                        r
-                    }
-                };
-                if matches!(op, UnOp::Neg | UnOp::Not) {
-                    set_zs(&mut cpu.flags, r, *w);
+/// Runs ops `start..end` of `img`, a basic block, from `cpu.pc`; returns
+/// the instructions executed and how control left the block.
+#[inline]
+fn run_block(
+    img: &CodeImage,
+    start: usize,
+    end: usize,
+    m: &mut Machine,
+    cpu: &mut Cpu,
+    env: &mut dyn Env,
+) -> Result<(u64, Flow), Fault> {
+    let mut i = start;
+    while i < end {
+        match &img.ops[i] {
+            Op::SvmCheck(check) => {
+                if !svm_check(check, m, cpu, env)? {
+                    return Ok(((i + SvmCheck::LEN - 1 - start) as u64, Flow::Jump));
                 }
-                let base = m.cost.alu;
-                m.meter.charge(base);
-                write_operand(m, cpu, env, dst, *w, r)?;
-                cpu.pc = next_pc;
+                i += SvmCheck::LEN;
             }
-            Insn::Imul { dst, src } => {
-                let b = read_operand(m, cpu, env, src, Width::Long)?;
-                let a = cpu.reg(*dst);
-                let r = a.wrapping_mul(b);
-                set_zs(&mut cpu.flags, r, Width::Long);
-                let base = m.cost.mul;
-                m.meter.charge(base);
-                cpu.set_reg(*dst, r);
-                cpu.pc = next_pc;
+            op => match exec(op, m, cpu, env)? {
+                Flow::Next => i += 1,
+                flow => return Ok(((i + 1 - start) as u64, flow)),
+            },
+        }
+    }
+    Ok(((i - start) as u64, Flow::Next))
+}
+
+/// Runs the fused Figure 4 sequence at `cpu.pc` with exactly its parts'
+/// effects: their registers, counts and charges in order, the flags of
+/// the last flag-setting part at each fault point, and on a fault at
+/// either stlb load `cpu.pc` at that part. Returns whether the stlb hit
+/// (control goes on after the sequence; 9 instructions) or missed
+/// (control is at the slow path; 8 instructions).
+#[inline]
+fn svm_check(
+    c: &SvmCheck,
+    m: &mut Machine,
+    cpu: &mut Cpu,
+    env: &mut dyn Env,
+) -> Result<bool, Fault> {
+    let pc = cpu.pc;
+    let (mov, alu_cost) = (m.cost.mov_reg, m.cost.alu);
+    let (taken, not_taken) = (m.cost.branch_taken, m.cost.branch_not_taken);
+    // lea; mov; and; mov; and; shr: registers only, so they are counted
+    // and charged together before the first load. Each part reads its
+    // registers after the previous part wrote them, as if they aliased.
+    cpu.set_reg(c.s1, c.ea.addr(cpu) as u32);
+    cpu.set_reg(c.out, cpu.reg(c.s1));
+    cpu.set_reg(c.s1, cpu.reg(c.s1) & c.page_mask);
+    cpu.set_reg(c.s2, cpu.reg(c.s1));
+    cpu.set_reg(c.s1, cpu.reg(c.s1) & c.index_mask);
+    // The `shr` sets every flag, so the `and`s' flags are never seen.
+    let (v, amt) = (cpu.reg(c.s1), c.shift);
+    cpu.flags.cf = amt > 0 && (v >> (amt - 1)) & 1 != 0;
+    cpu.flags.of = false;
+    let r = v.wrapping_shr(amt);
+    set_zs(&mut cpu.flags, r, Width::Long);
+    cpu.set_reg(c.s1, r);
+    // cmp stlb(,s1,1), s2
+    m.meter.count_insns(7);
+    m.meter.charge(3 * mov + 3 * alu_cost);
+    cpu.pc = pc + 6 * INSN_SIZE;
+    let at = c.stlb.wrapping_add(cpu.reg(c.s1));
+    let tag = read_mem(m, cpu, env, at as u64, Width::Long)?;
+    let s2 = cpu.reg(c.s2);
+    alu(&mut cpu.flags, AluOp::Sub, s2, tag, Width::Long);
+    // jne slow
+    m.meter.count_insn();
+    if !cpu.flags.zf {
+        m.meter.charge(alu_cost + taken);
+        cpu.pc = c.slow;
+        return Ok(false);
+    }
+    // xor stlb+4(,s1,1), out
+    m.meter.count_insn();
+    m.meter.charge(alu_cost + not_taken);
+    cpu.pc = pc + 8 * INSN_SIZE;
+    let at = c.stlb.wrapping_add(4).wrapping_add(cpu.reg(c.s1));
+    let xlat = read_mem(m, cpu, env, at as u64, Width::Long)?;
+    let out = cpu.reg(c.out);
+    let r = alu(&mut cpu.flags, AluOp::Xor, out, xlat, Width::Long);
+    m.meter.charge(alu_cost);
+    cpu.set_reg(c.out, r);
+    cpu.pc = pc + SvmCheck::LEN as u64 * INSN_SIZE;
+    Ok(true)
+}
+
+/// Executes the op at `cpu.pc`. On success `cpu.pc` is the next
+/// instruction or the target; on a fault it stays at the op.
+fn exec(op: &Op, m: &mut Machine, cpu: &mut Cpu, env: &mut dyn Env) -> Result<Flow, Fault> {
+    m.meter.count_insn();
+    let next_pc = cpu.pc + INSN_SIZE;
+    match op {
+        Op::Mov { w, dst, src } => {
+            let v = read_operand(m, cpu, env, src, *w)?;
+            let base = m.cost.mov_reg;
+            m.meter.charge(base);
+            write_operand(m, cpu, env, dst, *w, v)?;
+        }
+        Op::Movzx { w, dst, src } => {
+            let v = read_operand(m, cpu, env, src, *w)?;
+            let base = m.cost.mov_reg;
+            m.meter.charge(base);
+            cpu.set_reg(*dst, v);
+        }
+        Op::Movsx { w, dst, src } => {
+            let v = read_operand(m, cpu, env, src, *w)?;
+            let bits = w.bytes() * 8;
+            let sext = ((v as i32) << (32 - bits)) >> (32 - bits);
+            let base = m.cost.mov_reg;
+            m.meter.charge(base);
+            cpu.set_reg(*dst, sext as u32);
+        }
+        // On its own, a fused sequence's first op is its `lea`.
+        Op::Lea { dst, ea } | Op::SvmCheck(SvmCheck { s1: dst, ea, .. }) => {
+            let a = ea.addr(cpu);
+            let base = m.cost.mov_reg;
+            m.meter.charge(base);
+            cpu.set_reg(*dst, a as u32);
+        }
+        Op::Alu { op, w, dst, src } => {
+            let b = read_operand(m, cpu, env, src, *w)?;
+            let a = read_operand(m, cpu, env, dst, *w)?;
+            let r = alu(&mut cpu.flags, *op, a, b, *w);
+            let base = m.cost.alu;
+            m.meter.charge(base);
+            write_operand(m, cpu, env, dst, *w, r)?;
+        }
+        Op::Shift { op, dst, amount } => {
+            let amt = read_operand(m, cpu, env, amount, Width::Byte)? & 31;
+            let a = read_operand(m, cpu, env, dst, Width::Long)?;
+            let r = match op {
+                ShiftOp::Shl => {
+                    cpu.flags.cf = amt > 0 && (a >> (32 - amt)) & 1 != 0;
+                    a.wrapping_shl(amt)
+                }
+                ShiftOp::Shr => {
+                    cpu.flags.cf = amt > 0 && (a >> (amt - 1)) & 1 != 0;
+                    a.wrapping_shr(amt)
+                }
+                ShiftOp::Sar => {
+                    cpu.flags.cf = amt > 0 && ((a as i32) >> (amt - 1)) & 1 != 0;
+                    ((a as i32).wrapping_shr(amt)) as u32
+                }
+            };
+            cpu.flags.of = false;
+            set_zs(&mut cpu.flags, r, Width::Long);
+            let base = m.cost.alu;
+            m.meter.charge(base);
+            write_operand(m, cpu, env, dst, Width::Long, r)?;
+        }
+        Op::Cmp { w, src, dst } => {
+            let b = read_operand(m, cpu, env, src, *w)?;
+            let a = read_operand(m, cpu, env, dst, *w)?;
+            alu(&mut cpu.flags, AluOp::Sub, a, b, *w);
+            let base = m.cost.alu;
+            m.meter.charge(base);
+        }
+        Op::Test { w, src, dst } => {
+            let b = read_operand(m, cpu, env, src, *w)?;
+            let a = read_operand(m, cpu, env, dst, *w)?;
+            alu(&mut cpu.flags, AluOp::And, a, b, *w);
+            let base = m.cost.alu;
+            m.meter.charge(base);
+        }
+        Op::Un { op, w, dst } => {
+            let a = read_operand(m, cpu, env, dst, *w)?;
+            let mask = w.mask() as u32;
+            let r = match op {
+                UnOp::Neg => {
+                    cpu.flags.cf = a != 0;
+                    (a.wrapping_neg()) & mask
+                }
+                UnOp::Not => !a & mask,
+                UnOp::Inc => {
+                    let cf = cpu.flags.cf;
+                    let r = alu(&mut cpu.flags, AluOp::Add, a, 1, *w);
+                    cpu.flags.cf = cf; // inc preserves CF like x86
+                    r
+                }
+                UnOp::Dec => {
+                    let cf = cpu.flags.cf;
+                    let r = alu(&mut cpu.flags, AluOp::Sub, a, 1, *w);
+                    cpu.flags.cf = cf;
+                    r
+                }
+            };
+            if matches!(op, UnOp::Neg | UnOp::Not) {
+                set_zs(&mut cpu.flags, r, *w);
             }
-            Insn::Push { src } => {
-                let v = read_operand(m, cpu, env, src, Width::Long)?;
-                let base = m.cost.store;
-                m.meter.charge(base);
-                cpu.push(m, v)?;
-                cpu.pc = next_pc;
-            }
-            Insn::Pop { dst } => {
-                let base = m.cost.load;
-                m.meter.charge(base);
-                let v = cpu.pop(m)?;
-                write_operand(m, cpu, env, dst, Width::Long, v)?;
-                cpu.pc = next_pc;
-            }
-            Insn::Jmp { target } => {
+            let base = m.cost.alu;
+            m.meter.charge(base);
+            write_operand(m, cpu, env, dst, *w, r)?;
+        }
+        Op::Imul { dst, src } => {
+            let b = read_operand(m, cpu, env, src, Width::Long)?;
+            let a = cpu.reg(*dst);
+            let r = a.wrapping_mul(b);
+            set_zs(&mut cpu.flags, r, Width::Long);
+            let base = m.cost.mul;
+            m.meter.charge(base);
+            cpu.set_reg(*dst, r);
+        }
+        Op::Push { src } => {
+            let v = read_operand(m, cpu, env, src, Width::Long)?;
+            let base = m.cost.store;
+            m.meter.charge(base);
+            cpu.push(m, v)?;
+        }
+        Op::Pop { dst } => {
+            let base = m.cost.load;
+            m.meter.charge(base);
+            let v = cpu.pop(m)?;
+            write_operand(m, cpu, env, dst, Width::Long, v)?;
+        }
+        Op::Jmp { target } => {
+            let a = target_addr(m, cpu, env, target)?;
+            let base = m.cost.branch_taken;
+            m.meter.charge(base);
+            cpu.pc = a;
+            return Ok(Flow::Jump);
+        }
+        Op::Jcc { cond, target } => {
+            if cond_true(&cpu.flags, *cond) {
                 let a = target_addr(m, cpu, env, target)?;
                 let base = m.cost.branch_taken;
                 m.meter.charge(base);
                 cpu.pc = a;
+                return Ok(Flow::Jump);
             }
-            Insn::Jcc { cond, target } => {
-                if cond_true(&cpu.flags, *cond) {
-                    let a = target_addr(m, cpu, env, target)?;
-                    let base = m.cost.branch_taken;
-                    m.meter.charge(base);
-                    cpu.pc = a;
-                } else {
-                    let base = m.cost.branch_not_taken;
-                    m.meter.charge(base);
-                    cpu.pc = next_pc;
-                }
-            }
-            Insn::Call { target } => {
-                let a = target_addr(m, cpu, env, target)?;
-                let base = m.cost.call;
-                m.meter.charge(base);
-                cpu.push(m, next_pc as u32)?;
-                cpu.pc = a;
-            }
-            Insn::Ret => {
-                let base = m.cost.ret;
-                m.meter.charge(base);
-                let a = cpu.pop(m)?;
-                cpu.pc = a as u64;
-            }
-            Insn::Str { op, w, rep } => {
-                exec_string(m, cpu, env, *op, *w, *rep)?;
-                cpu.pc = next_pc;
-            }
-            Insn::Cli => {
-                cpu.if_enabled = false;
-                let base = m.cost.cli_sti;
-                m.meter.charge(base);
-                cpu.pc = next_pc;
-            }
-            Insn::Sti => {
-                cpu.if_enabled = true;
-                let base = m.cost.cli_sti;
-                m.meter.charge(base);
-                cpu.pc = next_pc;
-            }
-            Insn::Nop => {
-                let base = m.cost.alu;
-                m.meter.charge(base);
-                cpu.pc = next_pc;
-            }
-            Insn::Hlt => {
-                cpu.pc = next_pc;
-                return Ok(StopReason::Halted);
-            }
-            Insn::Int3 => return Err(Fault::Breakpoint),
-            Insn::Ud2 => return Err(Fault::BadInstruction),
+            let base = m.cost.branch_not_taken;
+            m.meter.charge(base);
         }
+        Op::Call { target } => {
+            let a = target_addr(m, cpu, env, target)?;
+            let base = m.cost.call;
+            m.meter.charge(base);
+            cpu.push(m, next_pc as u32)?;
+            cpu.pc = a;
+            return Ok(Flow::Jump);
+        }
+        Op::Ret => {
+            let base = m.cost.ret;
+            m.meter.charge(base);
+            let a = cpu.pop(m)?;
+            cpu.pc = a as u64;
+            return Ok(Flow::Jump);
+        }
+        Op::Str { op, w, rep } => exec_string(m, cpu, env, *op, *w, *rep)?,
+        Op::Cli => {
+            cpu.if_enabled = false;
+            let base = m.cost.cli_sti;
+            m.meter.charge(base);
+        }
+        Op::Sti => {
+            cpu.if_enabled = true;
+            let base = m.cost.cli_sti;
+            m.meter.charge(base);
+        }
+        Op::Nop => {
+            let base = m.cost.alu;
+            m.meter.charge(base);
+        }
+        Op::Hlt => {
+            cpu.pc = next_pc;
+            return Ok(Flow::Halt);
+        }
+        Op::Int3 => return Err(Fault::Breakpoint),
+        Op::Ud2 => return Err(Fault::BadInstruction),
     }
+    cpu.pc = next_pc;
+    Ok(Flow::Next)
 }
 
 fn exec_string(

@@ -13,10 +13,20 @@
 //! operation (domain switch, hypercall, grant op, copy, …) with constants
 //! from [`CostParams`].
 //!
-//! Driver code runs *for real*: the interpreter in [`interp`] steps the ISA
-//! instruction by instruction, so the 2–3× slowdown of the SVM-rewritten
-//! driver (paper §6.2) emerges from the rewritten instruction stream rather
-//! than from a fudge factor.
+//! Driver code runs *for real*: every instruction of the SVM-rewritten
+//! driver is executed, counted and charged, so the 2–3× slowdown of the
+//! rewritten driver (paper §6.2) emerges from the rewritten instruction
+//! stream rather than from a fudge factor.
+//!
+//! Loading an image lowers its text once ([`op`]): each [`twin_isa::Insn`]
+//! becomes a compact `Copy` [`Op`] with every symbol and label resolved,
+//! each Figure 4 SVM fast path becomes one fused [`SvmCheck`], and a
+//! block-end table records where each basic block ends. The run loop in
+//! [`interp`] checks for the return sentinel, an extern trampoline, the
+//! budget and the fetch once per block, not once per instruction. The
+//! model cannot tell: counts, charges, events, faults and the clock seen
+//! by device models are those of one-at-a-time execution
+//! (`tests/lowered.rs` compares the two on random programs).
 //!
 //! ```
 //! use twin_isa::asm::assemble;
@@ -43,12 +53,14 @@ pub mod cost;
 pub mod image;
 pub mod interp;
 pub mod mem;
+pub mod op;
 pub mod space;
 
 pub use cost::{CostDomain, CostParams, CycleMeter, VirtualClock};
 pub use image::{CodeImage, ImageId, LinkError};
 pub use interp::{run, Cpu, Env, ExecMode, Fault, NullEnv, StopReason};
 pub use mem::{PhysMem, PAGE_SIZE};
+pub use op::{Arg, Ea, Jump, Op, SvmCheck};
 pub use space::{PageEntry, PageKind, PageTable, SpaceId};
 
 use space::Translation;
@@ -91,8 +103,9 @@ pub struct Machine {
     /// the run loop can hold instructions by reference while it mutates
     /// the machine.
     images: Arc<Vec<CodeImage>>,
-    /// Interned extern names, indexed by trampoline slot.
-    extern_names: Vec<Arc<str>>,
+    /// Extern names, indexed by trampoline slot; append-only and shared
+    /// like `images`, so the run loop borrows a name from its own handle.
+    extern_names: Arc<Vec<Arc<str>>>,
 }
 
 impl Default for Machine {
@@ -118,7 +131,7 @@ impl Machine {
             cost,
             trace: twin_trace::FlightRecorder::new(),
             images: Arc::default(),
-            extern_names: Vec::new(),
+            extern_names: Arc::default(),
         }
     }
 
@@ -176,7 +189,7 @@ impl Machine {
         if let Some(a) = self.extern_addr(name) {
             return a;
         }
-        self.extern_names.push(name.into());
+        Arc::make_mut(&mut self.extern_names).push(name.into());
         EXTERN_BASE + 8 * (self.extern_names.len() - 1) as u64
     }
 
@@ -190,23 +203,14 @@ impl Machine {
 
     /// Resolves a trampoline address back to the extern's name.
     pub fn extern_name(&self, addr: u64) -> Option<&str> {
-        self.extern_at(addr).map(|n| &**n)
-    }
-
-    /// The interned name of the extern whose trampoline is at `addr`; a
-    /// clone is a handle the run loop keeps while it mutates the machine,
-    /// and allocates nothing.
-    pub(crate) fn extern_at(&self, addr: u64) -> Option<&Arc<str>> {
-        if addr < EXTERN_BASE || (addr - EXTERN_BASE) % 8 != 0 {
-            return None;
-        }
-        self.extern_names.get(((addr - EXTERN_BASE) / 8) as usize)
+        extern_slot(&self.extern_names, addr)
     }
 
     /// Loads a module's text at `code_base`, resolving local labels and
     /// data symbols via the module plus `resolve` for everything else
     /// (externs and cross-module symbols). Unresolved externs are
-    /// auto-registered as trampolines.
+    /// auto-registered as trampolines. The text is lowered once, here
+    /// (see [`op`]).
     ///
     /// The data section is *not* placed by this call — callers (the dom0
     /// module loader, the hypervisor ELF-like loader) map and fill data
@@ -215,7 +219,11 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`LinkError`] if a referenced symbol cannot be resolved.
+    /// Returns [`LinkError::Unresolved`] if a referenced symbol cannot be
+    /// resolved, and [`LinkError::TrampolineWindow`] if the text would
+    /// overlap `[EXTERN_BASE, RETURN_SENTINEL]`: the run loop dispatches
+    /// those addresses as extern calls and returns, so such code could
+    /// never run.
     pub fn load_image<F>(
         &mut self,
         module: &Module,
@@ -225,6 +233,14 @@ impl Machine {
     where
         F: FnMut(&str) -> Option<u64>,
     {
+        let end = code_base.saturating_add(module.text.len() as u64 * twin_isa::INSN_SIZE);
+        if code_base < end && code_base <= RETURN_SENTINEL && end > EXTERN_BASE {
+            return Err(LinkError::TrampolineWindow {
+                module: module.name.clone(),
+                base: code_base,
+                end,
+            });
+        }
         // Register all declared externs up-front so their trampoline
         // addresses are stable, then link with full resolution.
         let declared: Vec<String> = module.externs.iter().cloned().collect();
@@ -467,6 +483,15 @@ impl Machine {
         }
         Ok(())
     }
+}
+
+/// The name of the extern whose trampoline is at `addr`, in `names`.
+#[inline]
+pub(crate) fn extern_slot(names: &[Arc<str>], addr: u64) -> Option<&str> {
+    if addr < EXTERN_BASE || (addr - EXTERN_BASE) % 8 != 0 {
+        return None;
+    }
+    names.get(((addr - EXTERN_BASE) / 8) as usize).map(|n| &**n)
 }
 
 /// The physical address a RAM translation `t` names; an MMIO page faults

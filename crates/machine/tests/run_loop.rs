@@ -1,12 +1,16 @@
 //! The run loop's image cache and extern dispatch: control moving between
 //! images and extern trampolines, wild jumps, images loaded while a run is
-//! in progress, and extern calls that allocate nothing on the host.
+//! in progress, images refused in the trampoline window, and runs that
+//! allocate nothing on the host.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use twin_isa::asm::assemble;
 use twin_isa::{Reg, Width};
-use twin_machine::{run, Cpu, Env, ExecMode, Fault, Machine, StopReason, PAGE_SIZE};
+use twin_machine::{
+    run, Cpu, Env, ExecMode, Fault, LinkError, Machine, StopReason, EXTERN_BASE, PAGE_SIZE,
+    RETURN_SENTINEL,
+};
 
 /// Counts the heap allocations made by the current thread, so tests
 /// running in parallel do not see each other's.
@@ -42,7 +46,10 @@ fn allocs() -> u64 {
 const IMAGE_A: u64 = 0x0800_0000;
 const IMAGE_B: u64 = 0x0900_0000;
 const IMAGE_C: u64 = 0x0a00_0000;
+const IMAGE_D: u64 = 0x0b00_0000;
 const STACK: u64 = 0x3000_0000;
+const DATA: u64 = 0x2000_0000;
+const STLB: u64 = 0x4000_0000;
 
 /// Image A's `f` calls image B's `g`, which calls the extern `add2`.
 const A: &str = "
@@ -77,6 +84,30 @@ const C: &str = "
     .text
 h:  movl $99, %eax
     ret
+";
+
+/// A Figure 4 SVM fast path translating `4(%ebx)`, a load through the
+/// translation, then `add2(loaded, 5)`.
+const D: &str = "
+    .extern add2
+    .text
+d:  lea 4(%ebx), %ecx
+    movl %ecx, %eax
+    andl $0xfffff000, %ecx
+    movl %ecx, %edx
+    andl $0x00fff000, %ecx
+    shrl $9, %ecx
+    cmpl stlb(,%ecx,1), %edx
+    jne miss
+    xorl stlb+4(,%ecx,1), %eax
+    movl (%eax), %eax
+    pushl %eax
+    pushl $5
+    call add2
+    addl $8, %esp
+    ret
+miss:
+    ud2
 ";
 
 /// Implements `add2` (sum of two arguments) and `load_c` (loads image C
@@ -205,15 +236,78 @@ fn an_image_loaded_during_a_run_is_fetched() {
 #[test]
 fn extern_calls_allocate_nothing() {
     let (mut m, mut cpu, f) = setup("f");
+    // Image D, with its stlb slot for `DATA` holding an identity
+    // translation and `DATA + 4` holding 37.
+    let space = cpu.space;
+    m.map_fresh(space, DATA, 1).unwrap();
+    m.map_fresh(space, STLB, 1).unwrap();
+    m.write_u32(space, ExecMode::Guest, STLB, DATA as u32)
+        .unwrap();
+    m.write_u32(space, ExecMode::Guest, DATA + 4, 37).unwrap();
+    let image = m
+        .load_image(&assemble("d", D).unwrap(), IMAGE_D, |s| {
+            (s == "stlb").then_some(STLB)
+        })
+        .unwrap();
+    assert_eq!(m.image(image).svm_checks(), 1);
+    let d = m.image(image).export("d").unwrap();
+    cpu.set_reg(Reg::Ebx, DATA as u32);
     let mut env = TestEnv::default();
-    cpu.push_call_frame(&mut m, &[]).unwrap();
-    cpu.pc = f;
-    let before = allocs();
-    let stop = run(&mut m, &mut cpu, &mut env, 1000);
-    let during = allocs() - before;
-    assert_eq!(stop, Ok(StopReason::Returned));
-    assert_eq!(env.calls, 1, "the run made its extern call");
-    assert_eq!(during, 0, "a run through an extern call allocated");
+    // Through an extern call; through a fused site and an extern call;
+    // and stopped by a budget inside that site's block and sequence.
+    for (entry, budget, want) in [
+        (f, 1000, StopReason::Returned),
+        (d, 1000, StopReason::Returned),
+        (d, 4, StopReason::Budget),
+    ] {
+        cpu.set_stack(STACK + 4 * PAGE_SIZE);
+        cpu.push_call_frame(&mut m, &[]).unwrap();
+        cpu.pc = entry;
+        let before = allocs();
+        let stop = run(&mut m, &mut cpu, &mut env, budget);
+        let during = allocs() - before;
+        assert_eq!(stop, Ok(want), "from {entry:#x}, budget {budget}");
+        assert_eq!(
+            during, 0,
+            "a run from {entry:#x}, budget {budget} allocated"
+        );
+    }
+    assert_eq!(env.calls, 2, "both full runs made their extern call");
+    assert_eq!(cpu.pc, d + 4 * 4, "the budget stopped inside the sequence");
+}
+
+#[test]
+fn images_in_the_trampoline_window_are_refused() {
+    let mut m = Machine::new();
+    // Two instructions and an extern, placed to end at each edge of
+    // `[EXTERN_BASE, RETURN_SENTINEL]` and inside it.
+    let module = assemble("w", ".extern add2\n.text\nw: call add2\n ret\n").unwrap();
+    let len = 2 * twin_isa::INSN_SIZE;
+    for base in [
+        EXTERN_BASE - len + 4,
+        EXTERN_BASE,
+        EXTERN_BASE + 0x100,
+        RETURN_SENTINEL - 4,
+        RETURN_SENTINEL,
+    ] {
+        let got = m.load_image(&module, base, |_| None);
+        assert_eq!(
+            got.unwrap_err(),
+            LinkError::TrampolineWindow {
+                module: "w".into(),
+                base,
+                end: base + len,
+            }
+        );
+    }
+    assert_eq!(
+        m.extern_addr("add2"),
+        None,
+        "a refused image registers nothing"
+    );
+    for base in [EXTERN_BASE - len, RETURN_SENTINEL + 4] {
+        assert!(m.load_image(&module, base, |_| None).is_ok(), "{base:#x}");
+    }
 }
 
 #[test]

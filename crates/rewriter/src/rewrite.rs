@@ -66,6 +66,9 @@ pub struct RewriteStats {
     pub string_sites: usize,
     /// Indirect call/jump sites routed through `__svm_call_xlat`.
     pub indirect_sites: usize,
+    /// Figure 4 fast-path sequences emitted, one per translated address
+    /// (plain sites, and each pointer of a string-instruction chunk).
+    pub fastpath_sites: usize,
     /// Sites that needed register spills.
     pub spill_sites: usize,
     /// Total registers spilled across all sites.
@@ -145,6 +148,7 @@ struct Emitter {
     labels: BTreeMap<String, usize>,
     deferred: Vec<(String, Vec<Insn>)>,
     site: u32,
+    fastpaths: usize,
 }
 
 impl Emitter {
@@ -154,6 +158,7 @@ impl Emitter {
             labels: BTreeMap::new(),
             deferred: Vec::new(),
             site: 0,
+            fastpaths: 0,
         }
     }
 
@@ -219,6 +224,7 @@ enum AddrExpr {
 fn emit_fastpath(em: &mut Emitter, addr: AddrExpr, s1: Reg, s2: Reg, out: Reg) {
     let retry = em.fresh("retry");
     let slow = em.fresh("slow");
+    em.fastpaths += 1;
     em.label_here(retry.clone());
     match addr {
         AddrExpr::Mem(mem) => em.emit(Insn::Lea { dst: s1, mem }),
@@ -512,6 +518,7 @@ pub fn rewrite(module: &Module, opts: &RewriteOptions) -> Result<RewriteOutput, 
         }
     }
 
+    stats.fastpath_sites = em.fastpaths;
     let mut out = Module::new(format!("{}.twin", module.name));
     out.text = em.text;
     out.labels = em.labels;

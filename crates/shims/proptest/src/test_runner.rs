@@ -1,6 +1,9 @@
 //! Deterministic PRNG and run configuration for the shim.
 
 /// Run configuration, mirroring `proptest::test_runner::Config`.
+///
+/// As in the real crate, the default case count is 32 unless the
+/// `PROPTEST_CASES` environment variable names another.
 #[derive(Clone, Debug)]
 pub struct ProptestConfig {
     /// Number of generated cases per property.
@@ -11,8 +14,12 @@ pub struct ProptestConfig {
 
 impl Default for ProptestConfig {
     fn default() -> ProptestConfig {
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(32);
         ProptestConfig {
-            cases: 32,
+            cases,
             max_shrink_iters: 0,
         }
     }

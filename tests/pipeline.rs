@@ -65,6 +65,23 @@ fn both_instances_share_one_copy_of_driver_data() {
     assert_eq!(stats_ptr as u64, adapter + e1000::adapter::TX_PACKETS);
 }
 
+/// The machine runs each Figure 4 fast path as one fused op when it
+/// recognises the rewriter's emission by shape. If the emission changes
+/// shape, this fails instead of the speedup silently disappearing.
+#[test]
+fn every_emitted_svm_fast_path_is_fused_in_both_instances() {
+    let sys = System::build(Config::TwinDrivers).unwrap();
+    let sites = sys.rewrite_stats.unwrap().fastpath_sites;
+    assert!(sites > 100, "the e1000 rewrite emitted {sites} fast paths");
+    let hyp = sys.hyperdrv().unwrap().image;
+    assert_eq!(sys.machine.image(hyp).svm_checks(), sites, "hypervisor");
+    assert_eq!(
+        sys.machine.image(sys.driver.image).svm_checks(),
+        sites,
+        "VM instance"
+    );
+}
+
 #[test]
 fn config_ops_run_in_vm_instance_while_fast_path_runs_in_hypervisor() {
     // Paper §3.1: the VM instance keeps handling ethtool-style requests
